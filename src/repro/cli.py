@@ -384,10 +384,9 @@ def _parse_replica_list(spec: str | None) -> tuple:
 def cmd_serve(args) -> int:
     """Expose a fitted artifact over HTTP through the asyncio gateway."""
     from repro.serving import LinkageService
-    from repro.wal import WriteAheadLog, arm_from_env
+    from repro.wal import arm_from_env, recover
 
     arm_from_env()  # chaos harnesses arm crash sites via REPRO_FAULTS
-    wal = None
     if args.shard_plan is not None:
         if args.wal is not None:
             raise SystemExit(
@@ -425,17 +424,25 @@ def cmd_serve(args) -> int:
             f", replica-of={args.replica_of} epoch={service.registry_epoch}"
             f"{' resumed' if service.status(poll=False)['resumed'] else ''}"
         )
-    else:
-        if args.wal is not None:
-            wal = WriteAheadLog(args.wal, fsync=args.fsync)
-        service = LinkageService.from_artifact(
-            args.artifact, workers=args.workers, shard_size=args.shard_size,
-            wal=wal,
-        )
+    elif args.wal is not None:
+        # a restart on a non-empty log replays it: acknowledged writes
+        # survive the crash, and the log reopens for append where it ended
+        # (an empty or missing directory starts at the artifact's epoch)
+        service = recover(
+            args.artifact, args.wal, reopen=True, fsync=args.fsync,
+            workers=args.workers, shard_size=args.shard_size,
+        ).service
         source = args.artifact
         detail = (
-            f", wal={args.wal} fsync={args.fsync}" if wal is not None else ""
+            f", wal={args.wal} fsync={args.fsync}"
+            f" epoch={service.registry_epoch}"
         )
+    else:
+        service = LinkageService.from_artifact(
+            args.artifact, workers=args.workers, shard_size=args.shard_size
+        )
+        source = args.artifact
+        detail = ""
     read_replicas = _parse_replica_list(args.read_replicas)
     if read_replicas:
         detail += f", read_replicas={len(read_replicas)}"
@@ -962,8 +969,9 @@ def build_parser() -> argparse.ArgumentParser:
     gateway_opts(p_serve)
     p_serve.add_argument("--wal", default=None,
                          help="write-ahead log directory: every ingest/"
-                              "remove is logged before applying, enabling "
-                              "`repro recover` and POST /swap")
+                              "remove is logged before applying (enabling "
+                              "`repro recover` and POST /swap), and a "
+                              "restart on the same directory replays it")
     p_serve.add_argument("--fsync", choices=("always", "batch", "never"),
                          default="batch",
                          help="WAL fsync policy (default batch; 'always' "

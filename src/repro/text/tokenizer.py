@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = ["DEFAULT_STOP_WORDS", "normalize_word", "Tokenizer"]
 
@@ -25,12 +26,15 @@ DEFAULT_STOP_WORDS: frozenset[str] = frozenset(
 _TOKEN_RE = re.compile(r"[a-z0-9_一-鿿]+")
 
 
+@lru_cache(maxsize=1 << 16)
 def normalize_word(word: str) -> str:
     """Lower-case and singularize ``word`` with simple suffix rules.
 
     The rules cover regular English plurals (``-ies`` -> ``-y``, ``-ses`` ->
     ``-s``, trailing ``-s``); they intentionally avoid heavier stemming which
-    would merge distinct style words.
+    would merge distinct style words.  Memoized (bounded): a corpus repeats
+    a few hundred distinct words tens of thousands of times, and every post
+    is tokenized by both the blocking signatures and the feature pipeline.
     """
     w = word.lower()
     if len(w) > 4 and w.endswith("sses"):

@@ -8,6 +8,10 @@ Three scenarios prove the durability contract the WAL exists for:
   :func:`repro.wal.recover` must come back at the exact epoch of the
   last durable record, with ``score_pairs`` / ``top_k`` bit-identical
   to a never-crashed service that applied the same logged mutations.
+* **restart in place** — ``repro serve --wal DIR`` SIGKILLed after N
+  acknowledged ingests and restarted on the same directory must replay
+  the log itself: ``/stats`` reports the last acknowledged epoch and
+  ``/link_account`` answers byte-for-byte like a ``repro recover`` twin.
 * **blue/green swap under load** — an in-process gateway serving a
   mixed read+churn workload while ``POST /swap`` cuts over to a refit
   artifact; zero failed requests (client-side 429 retries permitted),
@@ -33,6 +37,7 @@ Set ``CHAOS_ARTIFACT_DIR`` to keep the WALs and summaries the scenarios
 produce (CI uploads them as build artifacts).
 """
 
+import http.client
 import json
 import os
 import pickle
@@ -123,10 +128,15 @@ def _export_artifacts(name: str, wal_dir: Path, summary: dict) -> None:
 # ----------------------------------------------------------------------
 # scenario 1: kill -9 a serving subprocess mid-ingest
 # ----------------------------------------------------------------------
-def _spawn_gateway(artifact: Path, wal_dir: Path, fault_spec: str):
+def _cli_env(fault_spec: str = "") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_FAULTS"] = fault_spec
+    return env
+
+
+def _spawn_gateway(artifact: Path, wal_dir: Path, fault_spec: str):
+    env = _cli_env(fault_spec)
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -268,6 +278,84 @@ class TestKillNineRecovery:
         resumed = read_wal(wal_dir)
         assert not resumed.truncated
         assert [r.epoch for r in resumed.records] == [1, 2]
+
+
+def _post_raw(port: int, path: str, body: dict) -> bytes:
+    """One POST, the response body exactly as it came off the wire."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request("POST", path, body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        data = response.read()
+        assert response.status == 200, data
+        return data
+    finally:
+        conn.close()
+
+
+class TestRestartInPlace:
+    def test_serve_wal_restart_replays_acknowledged_writes(
+        self, fitted_blob, tmp_path
+    ):
+        _, artifact, _, held, payloads = fitted_blob
+        wal_dir = tmp_path / "wal"
+        proc = _spawn_gateway(artifact, wal_dir, "")
+        try:
+            port = _wait_for_port(proc)
+            with GatewayClient("127.0.0.1", port, timeout=120) as client:
+                for ref, payload in zip(held, payloads):
+                    acked = client.ingest(
+                        [ref], accounts=[payload_to_json(payload)], score=False
+                    )["epoch"]
+            assert acked == len(held)
+            proc.send_signal(signal.SIGKILL)  # no drain, no clean close
+            assert proc.wait(timeout=60) == -9
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+
+        # the twin: `repro recover` of the same log (read-only), served
+        # in-process from the artifact it writes
+        twin_dir = tmp_path / "twin"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "recover",
+             "--artifact", str(artifact), "--wal", str(wal_dir),
+             "--out", str(twin_dir)],
+            env=_cli_env(), check=True, capture_output=True, timeout=300,
+        )
+
+        proc = _spawn_gateway(artifact, wal_dir, "")  # same directory
+        try:
+            port = _wait_for_port(proc)
+            with GatewayClient("127.0.0.1", port, timeout=120) as client:
+                assert client.stats()["epoch"] == acked
+            asks = [
+                {"platform": ref[0], "account_id": ref[1], "top": 5}
+                for ref in held
+            ]
+            restarted = [_post_raw(port, "/link_account", ask) for ask in asks]
+            with GatewayThread(
+                LinkageService.from_artifact(twin_dir), GatewayConfig()
+            ) as twin:
+                assert restarted == [
+                    _post_raw(twin.port, "/link_account", ask) for ask in asks
+                ]
+            assert all(json.loads(raw)["epoch"] == acked for raw in restarted)
+            # the reopened log keeps numbering where the crash cut it off
+            with GatewayClient("127.0.0.1", port, timeout=120) as client:
+                assert client.remove_account(held[0])["epoch"] == acked + 1
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=60)
+        assert [r.epoch for r in read_wal(wal_dir).records] == list(
+            range(1, acked + 2)
+        )
 
 
 # ----------------------------------------------------------------------
