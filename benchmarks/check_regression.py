@@ -1,7 +1,8 @@
 """CI benchmark-regression gate: compare metric tables against a baseline.
 
-The benchmark suite writes aligned text tables to ``benchmarks/results/``
-(see ``benchmarks/conftest.py``), and the measurement CLIs
+The benchmark suite writes aligned text tables to ``benchmarks/out/`` (see
+``benchmarks/conftest.py``; the committed baselines live in
+``benchmarks/results/``), and the measurement CLIs
 (``serve-bench`` / ``ingest-bench`` / ``loadgen`` with ``--json``) emit an
 equivalent JSON document — ``{"name", ..., "metrics": {...}}``.  This
 script reads every baseline file (``*.txt`` tables and ``*.json``
@@ -24,7 +25,7 @@ runner-speed jitter at smoke sizes while still catching real slowdowns.
 Usage::
 
     python benchmarks/check_regression.py \
-        --baseline /tmp/bench-baseline --current benchmarks/results \
+        --baseline benchmarks/results --current benchmarks/out \
         [--threshold 0.30]
 """
 

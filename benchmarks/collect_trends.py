@@ -21,7 +21,7 @@ metric becomes a plottable time series.
 Usage::
 
     python benchmarks/collect_trends.py \
-        --results benchmarks/results --out trends.json
+        --results benchmarks/out --out trends.json
 """
 
 from __future__ import annotations

@@ -1,21 +1,41 @@
-"""Benchmark infrastructure: result tables are written to
-``benchmarks/results/`` so every figure's reproduction is inspectable after a
+"""Benchmark infrastructure: result tables are written to the gitignored
+``benchmarks/out/`` so every figure's reproduction is inspectable after a
 ``pytest benchmarks/ --benchmark-only`` run (stdout is captured by pytest, the
-files are not).
+files are not) and a run leaves ``git status`` clean.  The committed baselines
+in ``benchmarks/results/`` change only under ``pytest benchmarks/...
+--update-baseline``, which copies the run's tables over them.
 """
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
 
+OUT_DIR = Path(__file__).parent / "out"
 RESULTS_DIR = Path(__file__).parent / "results"
+_written: set[Path] = set()
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-baseline",
+        action="store_true",
+        help="copy the tables this run wrote to benchmarks/out/ over the "
+        "committed baselines in benchmarks/results/",
+    )
+
+
+def pytest_sessionfinish(session):
+    if session.config.getoption("--update-baseline", default=False):
+        for table in sorted(_written):  # this run's tables, not stale ones
+            shutil.copy(table, RESULTS_DIR / table.name)
 
 
 def write_table(name: str, title: str, headers: list[str], rows: list[list]) -> str:
     """Render an aligned text table, save it, and return it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    OUT_DIR.mkdir(exist_ok=True)
     widths = [
         max(len(str(h)), *(len(_fmt(row[i])) for row in rows)) if rows else len(str(h))
         for i, h in enumerate(headers)
@@ -28,7 +48,9 @@ def write_table(name: str, title: str, headers: list[str], rows: list[list]) -> 
             "  ".join(_fmt(cell).ljust(w) for cell, w in zip(row, widths))
         )
     text = "\n".join(lines) + "\n"
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    path = OUT_DIR / f"{name}.txt"
+    path.write_text(text)
+    _written.add(path)
     print(f"\n{text}")
     return text
 

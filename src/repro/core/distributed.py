@@ -96,9 +96,9 @@ class DistributedLinearHydra:
 
         Each shard's ``theta`` is assembled directly from the blocks' own
         restrictions: per block, only the rows whose global index falls in
-        the shard contribute, scattered at their shard-local offsets.  The
-        global Laplacian is block-sparse, so this stays O(sum of block
-        sizes) per shard instead of materializing the dense n x n matrix.
+        the shard contribute, sliced out of the block's CSR and scattered at
+        their shard-local offsets, so neither the global Laplacian nor any
+        block's dense one is materialized - only the shard-sized ``theta``.
         """
         n = x_all.shape[0]
         boundaries = np.linspace(0, n, self.num_workers + 1, dtype=int)
@@ -115,7 +115,7 @@ class DistributedLinearHydra:
                 if inside.size:
                     local = block.indices[inside] - lo
                     theta[np.ix_(local, local)] += (
-                        block.weight * block.laplacian[np.ix_(inside, inside)]
+                        block.weight * block.laplacian_restricted(inside)
                     )
             shards.append(
                 _Shard(

@@ -36,12 +36,14 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, *, gamma: float = 1.0) -> np.ndarra
         raise ValueError(f"gamma must be > 0, got {gamma}")
     xx = _as_2d(x)
     yy = _as_2d(y)
-    sq = (
-        (xx**2).sum(axis=1)[:, None]
-        - 2.0 * xx @ yy.T
-        + (yy**2).sum(axis=1)[None, :]
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    # one (n, m) buffer end to end: the fit's Gram matrix and every
+    # /score_pairs decision pass through here
+    out = (2.0 * xx) @ yy.T
+    np.subtract((xx**2).sum(axis=1)[:, None], out, out=out)
+    out += (yy**2).sum(axis=1)[None, :]
+    np.maximum(out, 0.0, out=out)
+    out *= -gamma
+    return np.exp(out, out=out)
 
 
 def chi_square_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,6 +21,18 @@ convex reweighting: solve at the current weights, re-evaluate the objective
 values, update the weights, repeat.  Each inner problem is the convex QP
 above; larger p concentrates preference on the currently-dominant objective
 exactly as the paper's model analysis (Section 6.4) describes.
+
+Cost.  With ``Theta = sum_k w_k P_k^T (D_k - M_k) P_k`` (``P_k`` selects block
+``k``'s rows) the system matrix of Eqn 15 is
+
+    A = (2 gamma_L + jitter) I + (2 gamma_M / n^2) Theta K.
+
+``Theta`` is never formed: each block adds its rows of ``Theta K`` straight
+into ``A`` from its CSR (:meth:`ConsistencyBlock.add_laplacian_product`), the
+normalization traces and the ``F_S`` values are sparse contractions, and
+Eqn 17 multiplies only the labeled rows ``K[:Nl]``.  The fit holds three
+``n x n`` float64 arrays at its peak - ``K``, ``A`` and LAPACK's working
+copy of ``A`` - and its one cubic step is that LU solve.
 """
 
 from __future__ import annotations
@@ -34,6 +46,23 @@ from repro.core.kernels import make_kernel
 from repro.core.qp import QPResult, solve_box_qp
 
 __all__ = ["MooConfig", "MultiObjectiveModel"]
+
+#: Elements of the work band :func:`_symmetrize` reuses (2 MB of float64).
+_BAND_ELEMENTS = 1 << 18
+
+
+def _symmetrize(matrix: np.ndarray) -> None:
+    """``matrix <- (matrix + matrix.T) / 2`` in place, a row band at a time."""
+    n = matrix.shape[0]
+    step = max(1, _BAND_ELEMENTS // max(n, 1))
+    work = np.empty((step, n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        band = work[: hi - lo, : n - lo]
+        np.add(matrix[lo:hi, lo:], matrix[lo:, lo:hi].T, out=band)
+        band *= 0.5
+        matrix[lo:hi, lo:] = band
+        matrix[lo:, lo:hi] = band.T
 
 
 @dataclass
@@ -95,15 +124,19 @@ class MultiObjectiveModel:
         self.qp_result_: QPResult | None = None
 
     # ------------------------------------------------------------------
-    def _global_laplacian(
-        self, blocks: list[ConsistencyBlock], n: int, weights: np.ndarray
+    def _system_matrix(
+        self, gram: np.ndarray, blocks: list[ConsistencyBlock], weights: np.ndarray
     ) -> np.ndarray:
-        """Scatter weighted block Laplacians into the global (n, n) matrix."""
-        theta = np.zeros((n, n))
+        """``A`` of Eqn 15 for the given objective weights (see module doc)."""
+        cfg = self.config
+        n = gram.shape[0]
+        a_matrix = np.zeros_like(gram)
         for block, weight in zip(blocks, weights):
-            idx = block.indices
-            theta[np.ix_(idx, idx)] += weight * block.laplacian
-        return theta
+            block.add_laplacian_product(
+                gram, a_matrix, 2.0 * cfg.gamma_m / float(n * n) * weight
+            )
+        a_matrix[np.diag_indices_from(a_matrix)] += 2.0 * cfg.gamma_l + cfg.jitter
+        return a_matrix
 
     def fit(
         self,
@@ -146,7 +179,7 @@ class MultiObjectiveModel:
 
         cfg = self.config
         gram = self._kernel(x_all, x_all)
-        gram = 0.5 * (gram + gram.T)
+        _symmetrize(gram)
         jt_y = np.zeros((n, num_labeled))
         jt_y[:num_labeled, :] = np.diag(y)
         box_c = 1.0 / num_labeled
@@ -161,27 +194,20 @@ class MultiObjectiveModel:
         # labeled pair at full hinge); each F_S is scaled by the trace of its
         # quadratic form, the value of an identity-coefficient solution.
         f_d_scale = float(num_labeled)
-        f_s_scales = []
-        for block in blocks:
-            idx = block.indices
-            k_block = gram[np.ix_(idx, idx)]
-            f_s_scales.append(
-                max(float(np.trace(block.laplacian @ k_block)) / float(n * n), 1e-12)
-            )
+        f_s_scales = [
+            max(block.laplacian_trace(gram) / float(n * n), 1e-12) for block in blocks
+        ]
 
         alpha = np.zeros(n)
         beta = np.zeros(num_labeled)
         bias = 0.0
         f_values: list[float] = []
         for _ in range(outer_iterations):
-            theta = self._global_laplacian(blocks, n, effective)
-            a_matrix = (
-                2.0 * cfg.gamma_l * np.eye(n)
-                + (2.0 * cfg.gamma_m / float(n * n)) * theta @ gram
+            # A^{-1} J^T Y, (n, Nl); A is dropped as soon as it is factored
+            b_matrix = np.linalg.solve(
+                self._system_matrix(gram, blocks, effective), jt_y
             )
-            a_matrix[np.diag_indices_from(a_matrix)] += cfg.jitter
-            b_matrix = np.linalg.solve(a_matrix, jt_y)  # A^{-1} J^T Y, (n, Nl)
-            q = np.diag(y) @ (gram @ b_matrix)[:num_labeled, :]
+            q = y[:, None] * (gram[:num_labeled] @ b_matrix)
             q = 0.5 * (q + q.T)
             q[np.diag_indices_from(q)] += cfg.jitter
             self.qp_result_ = solve_box_qp(
@@ -195,14 +221,15 @@ class MultiObjectiveModel:
             bias = self._bias_from_kkt(f_all[:num_labeled], y, beta, box_c)
 
             # objective values for reporting and for p > 1 reweighting
-            w_norm_sq = float(alpha @ gram @ alpha)
+            w_norm_sq = float(alpha @ f_all)
             margins = y * (f_all[:num_labeled] + bias)
             hinge = float(np.maximum(0.0, 1.0 - margins).sum())
             f_d = 0.5 * cfg.gamma_l * w_norm_sq + hinge
             f_values = [f_d]
             for block in blocks:
-                fb = f_all[block.indices]
-                f_values.append(float(fb @ block.laplacian @ fb) / float(n * n))
+                f_values.append(
+                    block.laplacian_quadratic(f_all[block.indices]) / float(n * n)
+                )
             if cfg.p > 1 and blocks:
                 # Effective weight of objective k in the linearized problem is
                 # proportional to w_k * p * F_k^{p-1} on the *normalized*

@@ -10,9 +10,11 @@ An artifact is a directory with exactly two files:
 
 ``arrays.npz``
     The numeric state: the dual model's training matrix / expansion
-    coefficients, each consistency block's ``M`` / ``D`` / index arrays, and
-    one opaque ``state`` blob (a pickled ``{world, pipeline, filler}`` dict
-    stored as a ``uint8`` array) carrying the fitted feature-pipeline caches
+    coefficients, each consistency block's sparse arrays
+    (``block_<i>_{indices,indptr,cols,values,affinity,degree}``, the layout of
+    :class:`~repro.core.consistency.ConsistencyBlock`), and one opaque
+    ``state`` blob (a pickled ``{world, pipeline, filler}`` dict stored as
+    a ``uint8`` array) carrying the fitted feature-pipeline caches
     and the social world they refer to.  The blob is pickled as a single
     object graph so the pipeline, the missing-value filler, and the world
     keep their shared references on reload.  The pipeline's packed account
@@ -24,7 +26,9 @@ An artifact is a directory with exactly two files:
 
 Versioning is strict: :func:`load_linker` refuses artifacts whose ``format``
 or ``version`` it does not understand, so stale artifacts fail loudly
-instead of mis-scoring.  The ``state`` blob additionally records the
+instead of mis-scoring.  Version 1 artifacts, which stored each block as dense
+``block_<i>_m`` / ``block_<i>_d`` matrices, are still read and converted on
+load; only version 2 is written.  The ``state`` blob additionally records the
 ``repro`` release that wrote it; a release mismatch on load raises a
 :class:`UserWarning` because pickled object layouts track the library code,
 not the artifact format number.
@@ -65,7 +69,9 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "hydra-linker"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+_BLOCK_ARRAYS = ("indices", "indptr", "cols", "values", "affinity", "degree")
 
 #: A scoring head is the decision function alone — kernel config + dual
 #: expansion arrays + bias + feature names — with no pickled world/pipeline
@@ -262,9 +268,8 @@ def save_linker(
         "model_beta": model.beta_ if model.beta_ is not None else np.zeros(0),
     }
     for i, block in enumerate(linker.blocks_):
-        arrays[f"block_{i}_m"] = block.m
-        arrays[f"block_{i}_d"] = block.d
-        arrays[f"block_{i}_indices"] = block.indices
+        for name in _BLOCK_ARRAYS:
+            arrays[f"block_{i}_{name}"] = getattr(block, name)
     state_blob = pickle.dumps(
         {
             "world": linker._world,
@@ -300,12 +305,31 @@ def _read_manifest(path: Path) -> dict:
             f"unknown artifact format {manifest.get('format')!r} "
             f"(expected {ARTIFACT_FORMAT!r})"
         )
-    if manifest.get("version") != ARTIFACT_VERSION:
+    if manifest.get("version") not in _READABLE_VERSIONS:
         raise ArtifactError(
             f"unsupported artifact version {manifest.get('version')!r} "
-            f"(this build reads version {ARTIFACT_VERSION})"
+            f"(this build reads versions {_READABLE_VERSIONS})"
         )
     return manifest
+
+
+def _load_block(arrays, i: int, meta: dict, version: int) -> ConsistencyBlock:
+    """Block ``i`` of an open ``arrays.npz``; version 1 stored it dense."""
+    if version == 1:
+        return ConsistencyBlock.from_dense(
+            meta["platform_a"],
+            meta["platform_b"],
+            arrays[f"block_{i}_indices"],
+            arrays[f"block_{i}_m"],
+            arrays[f"block_{i}_d"],
+            weight=meta["weight"],
+        )
+    return ConsistencyBlock(
+        platform_a=meta["platform_a"],
+        platform_b=meta["platform_b"],
+        weight=meta["weight"],
+        **{name: arrays[f"block_{i}_{name}"] for name in _BLOCK_ARRAYS},
+    )
 
 
 def load_linker(path, *, linker_cls: type[HydraLinker] = HydraLinker) -> HydraLinker:
@@ -343,13 +367,9 @@ def load_linker(path, *, linker_cls: type[HydraLinker] = HydraLinker) -> HydraLi
         model_x_train = arrays["model_x_train"]
         model_alpha = arrays["model_alpha"]
         model_beta = arrays["model_beta"]
-        block_arrays = [
-            (
-                arrays[f"block_{i}_m"],
-                arrays[f"block_{i}_d"],
-                arrays[f"block_{i}_indices"],
-            )
-            for i in range(len(manifest["blocks"]))
+        blocks = [
+            _load_block(arrays, i, meta, manifest["version"])
+            for i, meta in enumerate(manifest["blocks"])
         ]
         fast_scorer = None
         if "approx" in manifest and "approx_landmarks" in arrays:
@@ -408,17 +428,7 @@ def load_linker(path, *, linker_cls: type[HydraLinker] = HydraLinker) -> HydraLi
     linker.num_labeled_ = int(manifest["num_labeled"])
     linker.global_pairs_ = [_pair_from_json(p) for p in manifest["global_pairs"]]
     linker.candidates_ = _candidates_from_json(manifest["candidates"])
-    linker.blocks_ = [
-        ConsistencyBlock(
-            platform_a=meta["platform_a"],
-            platform_b=meta["platform_b"],
-            indices=indices,
-            m=m,
-            d=d,
-            weight=meta["weight"],
-        )
-        for meta, (m, d, indices) in zip(manifest["blocks"], block_arrays)
-    ]
+    linker.blocks_ = blocks
     linker.stage_timings_ = dict(manifest.get("stage_timings", {}))
     linker.ingest_epoch_ = int(manifest.get("ingest", {}).get("epoch", 0))
     # pre-approx artifacts leave this None; ensure_fast_scorer() rebuilds

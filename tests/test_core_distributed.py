@@ -85,9 +85,8 @@ class TestDistributedLinearHydra:
                         np.array([2, 5, 9, 14, 20, 21, 22])):
             m = rng.uniform(0, 1, (indices.size, indices.size))
             m = 0.5 * (m + m.T)
-            blocks.append(ConsistencyBlock(
-                platform_a="a", platform_b="b", indices=indices,
-                m=m, d=np.diag(m.sum(axis=1)), weight=rng.uniform(0.5, 2.0),
+            blocks.append(ConsistencyBlock.from_dense(
+                "a", "b", indices, m, weight=rng.uniform(0.5, 2.0),
             ))
         dense = np.zeros((n, n))
         for block in blocks:

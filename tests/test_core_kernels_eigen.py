@@ -37,6 +37,20 @@ class TestKernels:
         eigvals = np.linalg.eigvalsh(k)
         assert eigvals.min() > -1e-9
 
+    @pytest.mark.parametrize("rows, cols", [(1, 40), (60, 60), (200, 7)])
+    def test_rbf_single_buffer_is_bitwise_the_expression(self, rows, cols):
+        """The in-place build returns what the five-temporary expression did."""
+        rng = np.random.default_rng(rows)
+        y = rng.normal(size=(cols, 9))
+        x = y if rows == cols else rng.normal(size=(rows, 9))
+        sq = (
+            (x**2).sum(axis=1)[:, None]
+            - 2.0 * x @ y.T
+            + (y**2).sum(axis=1)[None, :]
+        )
+        expected = np.exp(-0.4 * np.maximum(sq, 0.0))
+        assert np.array_equal(rbf_kernel(x, y, gamma=0.4), expected)
+
     def test_rbf_invalid_gamma(self):
         with pytest.raises(ValueError):
             rbf_kernel(np.zeros((1, 1)), np.zeros((1, 1)), gamma=0.0)

@@ -21,11 +21,7 @@ def _chain_block(indices, n):
     for i in range(size - 1):
         m[i, i + 1] = m[i + 1, i] = 1.0
     np.fill_diagonal(m, 1.0)
-    d = np.diag(m.sum(axis=1))
-    return ConsistencyBlock(
-        platform_a="a", platform_b="b",
-        indices=np.asarray(indices), m=m, d=d,
-    )
+    return ConsistencyBlock.from_dense("a", "b", np.asarray(indices), m)
 
 
 class TestMooConfig:

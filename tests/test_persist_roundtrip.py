@@ -34,6 +34,14 @@ def saved(request, small_world, labeled_split, tmp_path_factory):
     return linker, path
 
 
+def _assert_blocks_equal(original, reloaded):
+    assert (original.platform_a, original.platform_b, original.weight) == (
+        reloaded.platform_a, reloaded.platform_b, reloaded.weight,
+    )
+    for name in ("indices", "indptr", "cols", "values", "affinity", "degree"):
+        assert np.array_equal(getattr(original, name), getattr(reloaded, name))
+
+
 class TestRoundTrip:
     def test_layout(self, saved):
         _, path = saved
@@ -42,7 +50,15 @@ class TestRoundTrip:
         ]
         manifest = json.loads((path / "manifest.json").read_text())
         assert manifest["format"] == ARTIFACT_FORMAT
-        assert manifest["version"] == ARTIFACT_VERSION
+        assert manifest["version"] == ARTIFACT_VERSION == 2
+        with np.load(path / "arrays.npz") as arrays:
+            names = set(arrays.files)
+        # blocks travel as their sparse arrays, never as dense n x n
+        assert {
+            f"block_0_{name}"
+            for name in ("indices", "indptr", "cols", "values", "affinity", "degree")
+        } <= names
+        assert not {"block_0_m", "block_0_d"} & names
 
     def test_scores_bit_identical(self, saved, true_refs):
         linker, path = saved
@@ -76,9 +92,45 @@ class TestRoundTrip:
         assert loaded.platform_pairs_ == linker.platform_pairs_
         assert len(loaded.blocks_) == len(linker.blocks_)
         for original, reloaded in zip(linker.blocks_, loaded.blocks_):
-            assert np.array_equal(original.m, reloaded.m)
-            assert np.array_equal(original.indices, reloaded.indices)
+            _assert_blocks_equal(original, reloaded)
         assert loaded.sparsity_report() == linker.sparsity_report()
+
+    def test_version_1_artifact_still_loads(self, saved, true_refs, tmp_path):
+        """Dense ``block_i_m`` / ``block_i_d`` artifacts convert on load."""
+        linker, path = saved
+        old = tmp_path / "version-1"
+        old.mkdir()
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["version"] = 1
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        with np.load(path / "arrays.npz") as arrays:
+            kept = {
+                name: arrays[name] for name in arrays.files
+                if not name.startswith("block_")
+            }
+        for i, block in enumerate(linker.blocks_):
+            kept[f"block_{i}_m"] = block.m
+            kept[f"block_{i}_d"] = block.d
+            kept[f"block_{i}_indices"] = block.indices
+        np.savez_compressed(old / "arrays.npz", **kept)
+
+        loaded = load_linker(old)
+        assert len(loaded.blocks_) == len(linker.blocks_) >= 1
+        for original, reloaded in zip(linker.blocks_, loaded.blocks_):
+            _assert_blocks_equal(original, reloaded)
+        assert np.array_equal(
+            linker.score_pairs(true_refs), loaded.score_pairs(true_refs)
+        )
+        assert loaded.sparsity_report() == linker.sparsity_report()
+
+    def test_sparsity_report_counts_what_the_dense_m_holds(self, saved):
+        linker, _ = saved
+        dense = [
+            np.count_nonzero(block.m) / block.m.size for block in linker.blocks_
+        ]
+        assert linker.sparsity_report()["consistency_nonzero_fraction"] == float(
+            np.mean(dense)
+        )
 
     def test_packed_store_round_trips(self, saved):
         """The batch engine's packed store reloads — no re-packing on load."""
