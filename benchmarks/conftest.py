@@ -1,8 +1,8 @@
-"""Benchmark infrastructure: result tables are written to the gitignored
-``benchmarks/out/`` so every figure's reproduction is inspectable after a
-``pytest benchmarks/ --benchmark-only`` run (stdout is captured by pytest, the
-files are not) and a run leaves ``git status`` clean.  The committed baselines
-in ``benchmarks/results/`` change only under ``pytest benchmarks/...
+"""Figure-benchmark infrastructure: result tables are written to the
+gitignored ``benchmarks/out/`` so every figure's reproduction is inspectable
+after a ``pytest benchmarks/`` run (stdout is captured by pytest, the files
+are not) and a run leaves ``git status`` clean.  The committed tables in
+``benchmarks/results/`` change only under ``pytest benchmarks/...
 --update-baseline``, which copies the run's tables over them.
 """
 
@@ -33,7 +33,7 @@ def pytest_sessionfinish(session):
             shutil.copy(table, RESULTS_DIR / table.name)
 
 
-def write_table(name: str, title: str, headers: list[str], rows: list[list]) -> str:
+def _write_table(name: str, title: str, headers: list[str], rows: list[list]) -> str:
     """Render an aligned text table, save it, and return it."""
     OUT_DIR.mkdir(exist_ok=True)
     widths = [
@@ -59,6 +59,18 @@ def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
+
+
+@pytest.fixture(scope="session")
+def write_table():
+    """The table writer, as ``write_table(name, title, headers, rows)``.
+
+    A fixture rather than an import: ``from conftest import ...`` resolves
+    to whichever ``conftest`` module pytest imported first, which is
+    ``tests/conftest.py`` when a run collects ``tests/`` before this
+    directory.
+    """
+    return _write_table
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@
 """
 
 import numpy as np
-from conftest import write_table
 
 from repro.baselines import SvmBBaseline
 from repro.core.moo import MooConfig
@@ -41,7 +40,7 @@ def _pooling_ablation():
     return rows
 
 
-def test_ablation_pooling_order(once):
+def test_ablation_pooling_order(once, write_table):
     rows = once(_pooling_ablation)
     write_table(
         "ablation_pooling",
@@ -84,7 +83,7 @@ def _multiscale_ablation():
     return rows
 
 
-def test_ablation_multiscale(once):
+def test_ablation_multiscale(once, write_table):
     rows = once(_multiscale_ablation)
     write_table(
         "ablation_multiscale",
@@ -120,7 +119,7 @@ def _kernel_ablation():
     return rows
 
 
-def test_ablation_kernels(once):
+def test_ablation_kernels(once, write_table):
     rows = once(_kernel_ablation)
     write_table(
         "ablation_kernels",

@@ -7,7 +7,6 @@ objectives, extreme ones over-fit the dominant objective.
 """
 
 import numpy as np
-from conftest import write_table
 
 from repro.core.moo import MooConfig
 from repro.eval import PreparedExperiment
@@ -29,7 +28,7 @@ def _sweep():
     return rows
 
 
-def test_fig10_p_sweep(once):
+def test_fig10_p_sweep(once, write_table):
     rows = once(_sweep)
     write_table(
         "fig10_p_sweep",

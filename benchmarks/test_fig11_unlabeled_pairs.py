@@ -9,7 +9,6 @@ scale the population.  Expected shape: HYDRA-M stays ahead of every baseline
 at every scale.
 """
 
-from conftest import write_table
 
 from repro.eval.experiments import (
     HARD_WORLD_OVERRIDES,
@@ -41,7 +40,7 @@ def _run():
     return rows
 
 
-def test_fig11_unlabeled_scaling(once):
+def test_fig11_unlabeled_scaling(once, write_table):
     rows = once(_run)
     write_table(
         "fig11_unlabeled",

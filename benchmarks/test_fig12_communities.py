@@ -14,7 +14,6 @@ does not degrade (and tends to improve) as more community structure arrives,
 and stays above the baselines throughout.
 """
 
-from conftest import write_table
 
 from repro.baselines import MobiusBaseline, SvmBBaseline
 from repro.core import CandidateGenerator, HydraLinker
@@ -102,7 +101,7 @@ def _run():
     return rows
 
 
-def test_fig12_social_communities(once):
+def test_fig12_social_communities(once, write_table):
     rows = once(_run)
     write_table(
         "fig12_communities",

@@ -10,7 +10,6 @@ We generate the 7-platform world and evaluate the culture-crossing pairs
 below its same-culture Fig 9 level, and HYDRA-M still leads.
 """
 
-from conftest import write_table
 
 from repro.eval.experiments import (
     HARD_WORLD_OVERRIDES,
@@ -42,7 +41,7 @@ def _run():
     ]
 
 
-def test_fig13_cross_cultural(once):
+def test_fig13_cross_cultural(once, write_table):
     rows = once(_run)
     write_table(
         "fig13_cross_platform",

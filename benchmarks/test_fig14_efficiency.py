@@ -11,7 +11,6 @@ polynomial envelope (no blow-up), while Alias-Disamb — which self-generates a
 quadratic pair set — grows at least as fast as linearly-behaving methods.
 """
 
-from conftest import write_table
 
 from repro.eval.experiments import (
     HARD_WORLD_OVERRIDES,
@@ -41,7 +40,7 @@ def _run():
     return rows, times
 
 
-def test_fig14_efficiency(once):
+def test_fig14_efficiency(once, write_table):
     rows, times = once(_run)
     write_table(
         "fig14_efficiency",

@@ -8,7 +8,6 @@ Worlds are generated with aggressive hiding (emails almost always hidden,
 many profile images missing) so the fillers face plenty of NaNs.
 """
 
-from conftest import write_table
 
 from repro.datagen import MissingnessInjector
 from repro.eval.experiments import (
@@ -56,7 +55,7 @@ def _run():
     return rows
 
 
-def test_fig15_missing_data(once):
+def test_fig15_missing_data(once, write_table):
     rows = once(_run)
     write_table(
         "fig15_missing_sensitivity",

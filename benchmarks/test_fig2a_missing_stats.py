@@ -11,7 +11,6 @@ paper claims.
 
 from collections import Counter
 
-from conftest import write_table
 
 from repro.eval.experiments import cross_cultural_world
 
@@ -29,7 +28,7 @@ def _collect_missing_stats(num_persons: int, seed: int):
     return count_hist, pattern_hist, total
 
 
-def test_fig2a_missing_information(once):
+def test_fig2a_missing_information(once, write_table):
     count_hist, pattern_hist, total = once(_collect_missing_stats, 60, 2)
 
     rows = [

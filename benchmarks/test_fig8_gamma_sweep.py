@@ -9,7 +9,6 @@ only the dual problem (exactly how such sweeps must be run at scale).
 """
 
 import numpy as np
-from conftest import write_table
 
 from repro.core.moo import MooConfig
 from repro.eval import PreparedExperiment
@@ -38,7 +37,7 @@ def _sweep():
     return rows, surface
 
 
-def test_fig8_gamma_surface(once):
+def test_fig8_gamma_surface(once, write_table):
     rows, surface = once(_sweep)
     write_table(
         "fig8_gamma_sweep",

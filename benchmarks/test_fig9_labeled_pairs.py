@@ -9,7 +9,6 @@ HYDRA-M dominates every baseline at every size; the English data set scores
 at least as high as the Chinese one for HYDRA.
 """
 
-from conftest import write_table
 
 from repro.eval.experiments import (
     HARD_WORLD_OVERRIDES,
@@ -48,7 +47,7 @@ def _run_dataset(dataset: str, sizes):
     return rows
 
 
-def test_fig9_english(once):
+def test_fig9_english(once, write_table):
     rows = once(_run_dataset, "english", EN_SIZES)
     write_table(
         "fig9_english",
@@ -59,7 +58,7 @@ def test_fig9_english(once):
     _assert_hydra_wins(rows)
 
 
-def test_fig9_chinese(once):
+def test_fig9_chinese(once, write_table):
     rows = once(_run_dataset, "chinese", ZH_SIZES)
     write_table(
         "fig9_chinese",

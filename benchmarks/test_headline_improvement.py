@@ -6,7 +6,6 @@ The external comparators are MOBIUS, Alias-Disamb and SMaSh (SVM-B is the
 paper's own features under a plain SVM, not prior art).
 """
 
-from conftest import write_table
 
 from repro.eval.experiments import (
     HARD_WORLD_OVERRIDES,
@@ -30,7 +29,7 @@ def _run():
     return {r.method: r.metrics.f1 for r in results}
 
 
-def test_headline_improvement(once):
+def test_headline_improvement(once, write_table):
     scores = once(_run)
     best_external = max(scores[m] for m in EXTERNAL)
     improvement = (scores["HYDRA-M"] - best_external) / max(best_external, 1e-9)

@@ -10,7 +10,6 @@ We measure the precision of (a) HYDRA's rule-based pre-matched pairs and
 and assert the ordering plus the >95 % bar for the rule labels.
 """
 
-from conftest import write_table
 
 from repro.baselines import AliasDisambBaseline
 from repro.core import CandidateGenerator
@@ -42,7 +41,7 @@ def _measure():
     return rule_precision, len(prematched), alias_precision, len(self_labeled)
 
 
-def test_label_collection_quality(once):
+def test_label_collection_quality(once, write_table):
     rule_precision, n_rule, alias_precision, n_alias = once(_measure)
     write_table(
         "label_quality",

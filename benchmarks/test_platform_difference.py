@@ -12,7 +12,6 @@ paper's band, and volume imbalance must be material.
 """
 
 import numpy as np
-from conftest import write_table
 
 from repro.datagen import divergence_summary, volume_imbalance
 from repro.eval.experiments import chinese_world, english_world
@@ -36,7 +35,7 @@ def _measure():
     return rows, summary_en, summary_zh, imbalances
 
 
-def test_platform_difference_claim(once):
+def test_platform_difference_claim(once, write_table):
     rows, summary_en, summary_zh, imbalances = once(_measure)
     rows.append(["chinese", "volume imbalance (max/median)",
                  float(np.min(imbalances)), float(np.median(imbalances)),

@@ -6,7 +6,6 @@ a million-scale data".  At laptop scale the exact percentages shift with the
 candidate density, but M must be sparse and beta must have shrinking support.
 """
 
-from conftest import write_table
 
 from repro.core import HydraLinker
 from repro.eval.experiments import FAST_FEATURE_SETTINGS, english_world
@@ -27,7 +26,7 @@ def _run():
     return linker.sparsity_report()
 
 
-def test_sparsity_statistics(once):
+def test_sparsity_statistics(once, write_table):
     report = once(_run)
     write_table(
         "sparsity_stats",

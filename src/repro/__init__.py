@@ -24,7 +24,7 @@ Subpackages
 ``repro.datagen``    — the synthetic multi-platform world generator.
 ``repro.features``   — the Section 5 heterogeneous behavior model.
 ``repro.core``       — candidates, structure consistency, the multi-objective
-                       learner, the staged HYDRA estimator, distributed ADMM.
+                       learner, the staged HYDRA estimator.
 ``repro.baselines``  — MOBIUS, Alias-Disamb, SMaSh, SVM-B.
 ``repro.eval``       — metrics, harness, per-figure experiment configs.
 ``repro.persist``    — versioned on-disk artifacts for fitted linkers.

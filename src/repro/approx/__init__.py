@@ -47,8 +47,7 @@ class ApproxConfig:
     budget:
         How many blocking-rule survivors the prefilter keeps per query
         (per platform pair).  The recall@k curve against this knob is
-        measured by :mod:`repro.eval.approx_quality` and committed by
-        ``benchmarks/test_approx_scoring.py``.
+        measured by :mod:`repro.eval.approx_quality`.
     num_landmarks:
         Landmark count ``L`` of the Nyström fast-path kernel; the
         ranking pass costs O(L·d) per pair.

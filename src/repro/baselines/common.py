@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.core.candidates import CandidateGenerator, CandidateSet
 from repro.core.hydra import LinkageResult
+from repro.core.resolve import greedy_one_to_one
 from repro.socialnet.platform import SocialWorld
 
 __all__ = ["BaselineLinker"]
@@ -27,9 +28,8 @@ class BaselineLinker(ABC):
     Parameters
     ----------
     threshold:
-        Score cut for asserting a link (method-specific scale).
-    one_to_one:
-        Greedy one-to-one resolution of the final linkage.
+        Score cut for asserting a link (method-specific scale); the final
+        linkage is resolved greedily one-to-one above it.
     candidate_generator:
         Blocking; defaults to HYDRA's.  The eval harness injects a shared,
         pre-generated candidate dict to keep comparisons identical.
@@ -41,11 +41,9 @@ class BaselineLinker(ABC):
         self,
         *,
         threshold: float = 0.0,
-        one_to_one: bool = True,
         candidate_generator: CandidateGenerator | None = None,
     ):
         self.threshold = threshold
-        self.one_to_one = one_to_one
         self.candidate_generator = (
             candidate_generator if candidate_generator is not None else CandidateGenerator()
         )
@@ -112,29 +110,12 @@ class BaselineLinker(ABC):
         cand = self.candidates_[key]
         scores = self.score_pairs(cand.pairs)
         oriented = [(b, a) for a, b in cand.pairs] if flipped else list(cand.pairs)
-        result = LinkageResult(
+        rows = greedy_one_to_one(oriented, scores, self.threshold)
+        return LinkageResult(
             platform_a=platform_a,
             platform_b=platform_b,
             pairs=oriented,
             scores=scores,
+            linked=[oriented[i] for i in rows],
+            linked_scores=scores[rows],
         )
-        passing = sorted(
-            ((float(scores[i]), i) for i in range(len(oriented))
-             if scores[i] > self.threshold),
-            key=lambda t: (-t[0], t[1]),
-        )
-        used_a: set[str] = set()
-        used_b: set[str] = set()
-        linked: list[Pair] = []
-        linked_scores: list[float] = []
-        for score, idx in passing:
-            ref_a, ref_b = oriented[idx]
-            if self.one_to_one and (ref_a[1] in used_a or ref_b[1] in used_b):
-                continue
-            used_a.add(ref_a[1])
-            used_b.add(ref_b[1])
-            linked.append((ref_a, ref_b))
-            linked_scores.append(score)
-        result.linked = linked
-        result.linked_scores = np.asarray(linked_scores)
-        return result

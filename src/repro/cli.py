@@ -12,12 +12,6 @@ The subcommands cover the common workflows without writing any code:
 * ``score``      — load an artifact and answer linkage queries through the
   :class:`~repro.serving.LinkageService` (platform-pair top-k or
   single-account resolution) — no refit;
-* ``serve-bench`` — load (or fit) an artifact and report batched scoring
-  throughput in pairs/sec at several batch sizes;
-* ``ingest-bench`` — hold accounts out of a world, fit on the rest, then
-  measure accounts/sec for absorbing the arrivals online
-  (:meth:`~repro.serving.LinkageService.add_accounts`) against a bulk
-  re-pack and a full refit;
 * ``serve``      — expose an artifact over HTTP through the asyncio
   gateway (:mod:`repro.gateway`): micro-batch request coalescing,
   admission control, graceful shutdown on SIGINT/SIGTERM; ``--wal DIR``
@@ -48,16 +42,14 @@ The subcommands cover the common workflows without writing any code:
   epoch vs last acked write); ``--min-epoch`` turns on read-your-writes
   floors and ``--read-replicas`` exercises client-side GET failover.
 
-``fit``, ``score``, and ``serve-bench`` accept ``--workers N`` (and
+``fit``, ``score``, ``serve`` and ``replica`` accept ``--workers N`` (and
 ``--shard-size``) to shard featurization and scoring across a process pool
 (:mod:`repro.parallel`); results are bit-identical to ``--workers 1``.
 
-The measurement commands (``serve-bench``, ``ingest-bench``, ``loadgen``)
-accept ``--json``: instead of the human table they print one JSON document
-— ``{"name", "workload", "headers", "rows", "metrics"}`` — whose
-``metrics`` block is exactly the machine-readable dict
-``benchmarks/check_regression.py`` consumes, so automation never parses
-the text tables.
+``loadgen``, ``recover``, ``wal info`` and ``shard info`` accept
+``--json``: instead of the human table they print one JSON document, so
+automation never parses the text tables.  The repository's performance
+benchmark is ``python3 bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -145,7 +137,7 @@ def cmd_link(args) -> int:
 
 
 def _fit_linker(args):
-    """Shared world/split/fit path for link, fit, and serve-bench."""
+    """Shared world/split/fit path for link and fit."""
     world = _make_world(args)
     pairs = _platform_pairs(args) or [
         tuple(world.platform_names()[:2])  # type: ignore[list-item]
@@ -224,14 +216,12 @@ def _emit_results(
     args, *, name: str, headers: list[str], rows: list[list],
     metrics: dict, workload: dict | None = None, extra: dict | None = None,
 ) -> None:
-    """Print either the human table or the regression-gate JSON document.
+    """Print either the human table or one JSON document.
 
-    The JSON shape — ``{"name", "workload", "headers", "rows", "metrics"}``
-    — is the one format ``benchmarks/check_regression.py`` consumes
-    directly (its ``metrics`` values gate regressions), so scripted bench
-    runs never scrape the aligned text table.  ``extra`` merges additional
-    top-level keys into the JSON document (e.g. loadgen's per-op outcome
-    counts) without touching the gated ``metrics`` block.
+    The JSON shape is ``{"name", "workload", "headers", "rows", "metrics"}``
+    — the table plus its headline numbers — so scripted runs never scrape
+    the aligned text table.  ``extra`` merges additional top-level keys
+    into the document (e.g. loadgen's per-op outcome counts).
     """
     if getattr(args, "json", False):
         document = {
@@ -247,83 +237,6 @@ def _emit_results(
         print(format_table(headers, rows))
 
 
-def cmd_serve_bench(args) -> int:
-    """Measure batched scoring throughput (pairs/sec) per batch size."""
-    from repro.serving import LinkageService, run_throughput_benchmark, throughput_table
-
-    parallel = {"workers": args.workers, "shard_size": args.shard_size}
-    if args.artifact is not None:
-        service = LinkageService.from_artifact(args.artifact, **parallel)
-    else:
-        service = LinkageService(_fit_linker(args)[0], **parallel)
-    batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
-    with service:
-        results = run_throughput_benchmark(
-            service,
-            batch_sizes=batch_sizes,
-            repeats=args.repeats,
-            max_pairs=args.max_pairs,
-        )
-    _emit_results(
-        args,
-        name="serve_bench",
-        headers=["batch_size", "pairs", "best_seconds", "pairs_per_sec",
-                 "p50_ms"],
-        rows=throughput_table(results),
-        metrics={"pairs_per_sec": max(r.pairs_per_sec for r in results)},
-        workload={"batch_sizes": list(batch_sizes),
-                  "repeats": args.repeats,
-                  "pairs": results[0].num_pairs if results else 0},
-    )
-    return 0
-
-
-def cmd_ingest_bench(args) -> int:
-    """Measure online-ingestion throughput against re-pack and refit."""
-    from repro.serving import holdout_split, ingest_table, run_ingest_benchmark
-
-    world = _make_world(args)
-    base, held_refs = holdout_split(world, args.new)
-    pairs = _platform_pairs(args) or [tuple(base.platform_names()[:2])]
-
-    def fit(world_):
-        split = make_label_split(
-            world_, pairs, label_fraction=args.label_fraction, seed=args.seed
-        )
-        linker = HydraLinker(
-            missing_strategy=args.missing, seed=args.seed,
-            num_topics=10, max_lda_docs=2500,
-        )
-        linker.fit(
-            world_, split.labeled_positive, split.labeled_negative, pairs
-        )
-        return linker
-
-    results = run_ingest_benchmark(
-        world, held_refs, fit, base=base, include_refit=not args.skip_refit
-    )
-    by_mode = {r.mode: r for r in results}
-    _emit_results(
-        args,
-        name="ingest_bench",
-        headers=["mode", "accounts", "seconds", "accounts_per_sec"],
-        rows=ingest_table(results),
-        metrics={
-            "accounts_per_sec": max(r.accounts_per_sec for r in results)
-        },
-        workload={"persons": args.persons, "new_per_platform": args.new},
-    )
-    if not args.json:
-        for mode in ("repack", "refit"):
-            if mode in by_mode and by_mode["ingest"].seconds > 0:
-                print(
-                    f"ingest vs {mode}: "
-                    f"{by_mode[mode].seconds / by_mode['ingest'].seconds:.1f}x"
-                    " faster"
-                )
-    return 0
-
-
 def _gateway_config(args, read_replicas: tuple = ()):
     from repro.gateway import GatewayConfig
 
@@ -333,7 +246,6 @@ def _gateway_config(args, read_replicas: tuple = ()):
         max_batch_pairs=args.max_batch_pairs,
         max_batch_requests=args.max_batch_requests,
         max_wait_ms=args.batch_wait_ms,
-        coalesce=not args.no_coalesce,
         max_pending=args.max_pending,
         default_deadline_ms=args.deadline_ms,
         executor_threads=args.threads,
@@ -355,7 +267,6 @@ def _serve_gateway(service, config, source: str, detail: str) -> int:
         print(
             f"serving {source} on http://{config.host}:{gateway.port}"
             f" ({service.num_candidates()} candidates, "
-            f"coalesce={'on' if config.coalesce else 'off'}, "
             f"max_pending={config.max_pending}{detail})",
             flush=True,  # subprocess drivers parse the bound port from this
         )
@@ -894,40 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def json_opt(p):
         p.add_argument("--json", action="store_true",
-                       help="emit the machine-readable metric document "
-                            "(the dict benchmarks/check_regression.py "
-                            "consumes) instead of the text table")
-
-    p_bench = sub.add_parser(
-        "serve-bench", help="measure batched scoring throughput (pairs/sec)"
-    )
-    common(p_bench)
-    fit_opts(p_bench)
-    parallel_opts(p_bench)
-    json_opt(p_bench)
-    p_bench.add_argument("--artifact", default=None,
-                         help="serve this artifact instead of fitting")
-    p_bench.add_argument("--batch-sizes", default="16,256", dest="batch_sizes",
-                         help="comma-separated featurization batch sizes")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed passes per batch size (best counts)")
-    p_bench.add_argument("--max-pairs", type=int, default=None, dest="max_pairs",
-                         help="truncate the workload (smoke runs)")
-    p_bench.set_defaults(func=cmd_serve_bench)
-
-    p_ingest = sub.add_parser(
-        "ingest-bench",
-        help="measure online account-ingestion throughput (accounts/sec)",
-    )
-    common(p_ingest)
-    fit_opts(p_ingest)
-    json_opt(p_ingest)
-    p_ingest.add_argument("--new", type=int, default=10,
-                          help="accounts to hold out per platform and "
-                               "ingest online (default 10)")
-    p_ingest.add_argument("--skip-refit", action="store_true", dest="skip_refit",
-                          help="skip the (slow) full-refit baseline")
-    p_ingest.set_defaults(func=cmd_ingest_bench)
+                       help="emit one machine-readable JSON document "
+                            "instead of the text output")
 
     def gateway_opts(p):
         p.add_argument("--host", default="127.0.0.1")
@@ -942,9 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-batch-requests", type=int, default=64,
                        dest="max_batch_requests",
                        help="flush a batch at this many pending requests")
-        p.add_argument("--no-coalesce", action="store_true",
-                       dest="no_coalesce",
-                       help="dispatch each request alone (diagnostics)")
         p.add_argument("--max-pending", type=int, default=128,
                        dest="max_pending",
                        help="admitted in-flight request ceiling "

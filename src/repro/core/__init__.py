@@ -23,7 +23,6 @@ from repro.core.stages import (
 )
 from repro.core.hydra import HydraLinker, LinkageResult
 from repro.core.spectral import SpectralLinker
-from repro.core.distributed import DistributedLinearHydra
 
 __all__ = [
     "make_kernel",
@@ -51,5 +50,4 @@ __all__ = [
     "HydraLinker",
     "LinkageResult",
     "SpectralLinker",
-    "DistributedLinearHydra",
 ]

@@ -42,6 +42,7 @@ import numpy as np
 from repro.core.candidates import CandidateGenerator, CandidateSet
 from repro.core.consistency import ConsistencyBlock, StructureConsistencyBuilder
 from repro.core.moo import MooConfig, MultiObjectiveModel
+from repro.core.resolve import greedy_one_to_one
 from repro.core.stages import (
     CandidateStage,
     ConsistencyStage,
@@ -66,7 +67,7 @@ class LinkageResult:
 
     ``pairs``/``scores`` cover every candidate; ``linked``/``linked_scores``
     are the pairs the model asserts refer to the same natural person
-    (thresholded and, optionally, one-to-one resolved).
+    (thresholded and one-to-one resolved).
     """
 
     platform_a: str
@@ -92,9 +93,8 @@ class HydraLinker:
         Structure-consistency bandwidths and graph horizon (Eqn 9).
     threshold:
         Decision threshold on ``f(x)``; 0 is the SVM margin midpoint.
-    one_to_one:
-        Resolve linkage greedily so each account joins at most one pair
-        (the SIL mapping is injective by definition).
+        Linkage is resolved greedily one-to-one above it
+        (:func:`~repro.core.resolve.greedy_one_to_one`).
     use_prematched:
         Treat rule pre-matched candidates as (noisy) positive labels,
         as the paper's labeled-data collection does.
@@ -121,7 +121,6 @@ class HydraLinker:
         num_topics: int = 12,
         max_lda_docs: int = 6000,
         threshold: float = 0.0,
-        one_to_one: bool = True,
         use_prematched: bool = True,
         candidate_generator: CandidateGenerator | None = None,
         pipeline: FeaturePipeline | None = None,
@@ -144,7 +143,6 @@ class HydraLinker:
         )
         self.missing_strategy = missing_strategy
         self.threshold = threshold
-        self.one_to_one = one_to_one
         self.use_prematched = use_prematched
         self.seed = seed
         self.candidate_generator = (
@@ -349,32 +347,15 @@ class HydraLinker:
         oriented = (
             [(b, a) for a, b in cand.pairs] if flipped else list(cand.pairs)
         )
-        result = LinkageResult(
+        rows = greedy_one_to_one(oriented, scores, self.threshold)
+        return LinkageResult(
             platform_a=platform_a,
             platform_b=platform_b,
             pairs=oriented,
             scores=scores,
+            linked=[oriented[i] for i in rows],
+            linked_scores=scores[rows],
         )
-        passing = [
-            (float(scores[i]), i) for i in range(len(oriented))
-            if scores[i] > self.threshold
-        ]
-        passing.sort(key=lambda t: (-t[0], t[1]))
-        used_a: set[str] = set()
-        used_b: set[str] = set()
-        linked: list[Pair] = []
-        linked_scores: list[float] = []
-        for score, idx in passing:
-            ref_a, ref_b = oriented[idx]
-            if self.one_to_one and (ref_a[1] in used_a or ref_b[1] in used_b):
-                continue
-            used_a.add(ref_a[1])
-            used_b.add(ref_b[1])
-            linked.append((ref_a, ref_b))
-            linked_scores.append(score)
-        result.linked = linked
-        result.linked_scores = np.asarray(linked_scores)
-        return result
 
     # ------------------------------------------------------------------
     # online ingestion (post-fit, frozen models)
@@ -438,8 +419,8 @@ class HydraLinker:
         The O(all) alternative to incremental ingestion: every world account
         is (re)featurized under the frozen models, the store is re-packed
         from scratch, and every fitted platform pair's candidates are
-        regenerated.  Ingestion's parity tests and benchmarks compare the
-        incremental path against exactly this."""
+        regenerated.  Ingestion's parity tests compare the incremental path
+        against exactly this."""
         if self.model_ is None or self._filler is None:
             raise RuntimeError("linker is not fitted; call fit() first")
         self.pipeline.repack()

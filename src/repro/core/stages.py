@@ -178,10 +178,7 @@ class FeaturizeStage(LinkageStage):
     """Fit the feature pipeline, resolve missing values, cache behavior.
 
     ``missing_strategy`` selects HYDRA-M (``"core"``, Eqn 18 fill from the
-    core social structure) or HYDRA-Z (``"zero"``).  ``engine`` picks the
-    featurization path (``None`` = the pipeline's default, i.e. the batch
-    engine; ``"reference"`` forces the per-pair path — useful for profiling
-    or verifying batch/reference parity on a full fit).
+    core social structure) or HYDRA-Z (``"zero"``).
 
     ``workers`` > 1 shards the featurize-and-fill pass over the global pair
     layout across a process pool (:mod:`repro.parallel`): model fitting
@@ -199,7 +196,6 @@ class FeaturizeStage(LinkageStage):
         pipeline: FeaturePipeline,
         *,
         missing_strategy: str = "core",
-        engine: str | None = None,
         workers: int = 1,
         shard_size: int | None = None,
     ):
@@ -207,15 +203,10 @@ class FeaturizeStage(LinkageStage):
             raise ValueError(
                 f"missing_strategy must be 'core' or 'zero', got {missing_strategy!r}"
             )
-        if engine not in (None, "batch", "reference"):
-            raise ValueError(
-                f"engine must be None, 'batch' or 'reference', got {engine!r}"
-            )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.pipeline = pipeline
         self.missing_strategy = missing_strategy
-        self.engine = engine
         self.workers = workers
         self.shard_size = shard_size
 
@@ -235,11 +226,7 @@ class FeaturizeStage(LinkageStage):
             [p for p in labeled if context.labels[p] < 0],
         )
         if self.missing_strategy == "core":
-            # the engine choice must cover Eqn 18 friend-pair vectors too,
-            # or a forced reference fit would still featurize through batch
-            context.filler = CoreStructureFiller(
-                context.world, self.pipeline, engine=self.engine
-            )
+            context.filler = CoreStructureFiller(context.world, self.pipeline)
         else:
             context.filler = ZeroFiller()
         context.x_all = self._featurize_and_fill(context)
@@ -253,14 +240,14 @@ class FeaturizeStage(LinkageStage):
         pairs = context.global_pairs
         plan = self.plan(len(pairs))
         if self.workers == 1 or plan.is_serial:
-            x_raw = self.pipeline.matrix(pairs, engine=self.engine)
+            x_raw = self.pipeline.matrix(pairs)
             return context.filler.fill_matrix(pairs, x_raw)
         from repro.parallel import ShardedExecutor, featurize_shard, init_featurizer
 
         with ShardedExecutor(
             workers=min(self.workers, plan.num_shards),
             initializer=init_featurizer,
-            initargs=(self.pipeline, context.filler, self.engine),
+            initargs=(self.pipeline, context.filler),
         ) as executor:
             results = executor.run(
                 featurize_shard,

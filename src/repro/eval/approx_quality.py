@@ -6,17 +6,15 @@ This module compares an approximate ranking against exhaustive exact
 scoring of the same candidate set:
 
 * **recall@k** — of the exact top-k pairs, what fraction the approximate
-  top-k returned.  This is the headline gate (CI enforces recall@10 at
-  the default budget);
+  top-k returned.  This is the headline gate (``tests/test_approx.py``
+  enforces recall@10 at the default budget);
 * **NDCG@k** — position-aware quality with the *exact* scores as graded
   relevance (shifted to be non-negative), so a near-miss that returns
   the 11th-strongest pair instead of the 10th is penalized less than one
   that returns noise.
 
 :func:`evaluate_top_k` sweeps budgets for one platform pair of a live
-service; :func:`sweep_service` covers every platform pair; the
-speed-vs-recall benchmark (``benchmarks/test_approx_scoring.py``) runs
-the sweep across world seeds and commits the curve.
+service; :func:`sweep_service` covers every platform pair.
 
 Everything here goes through the public serving interface —
 ``service.top_k(..., exact=False, budget=...)`` against

@@ -4,7 +4,8 @@ The paper reports precision and recall at the model's operating point;
 downstream users usually want the whole trade-off to pick their own
 threshold.  :func:`precision_recall_curve` sweeps the decision threshold over
 a :class:`~repro.core.hydra.LinkageResult`'s scores (with the one-to-one
-constraint re-applied at each threshold) and returns the frontier;
+constraint re-applied at each threshold by
+:func:`~repro.core.resolve.greedy_one_to_one`) and returns the frontier;
 :func:`best_threshold` picks the F-beta-optimal operating point.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.resolve import greedy_one_to_one
 
 __all__ = ["CurvePoint", "precision_recall_curve", "best_threshold", "average_precision"]
 
@@ -34,31 +37,12 @@ class CurvePoint:
         return (1 + b2) * p * r / (b2 * p + r)
 
 
-def _one_to_one(pairs, scores, threshold):
-    order = sorted(
-        (i for i in range(len(pairs)) if scores[i] > threshold),
-        key=lambda i: (-scores[i], i),
-    )
-    used_a: set = set()
-    used_b: set = set()
-    linked = []
-    for i in order:
-        ref_a, ref_b = pairs[i]
-        if ref_a in used_a or ref_b in used_b:
-            continue
-        used_a.add(ref_a)
-        used_b.add(ref_b)
-        linked.append(pairs[i])
-    return linked
-
-
 def precision_recall_curve(
     pairs: list,
     scores: np.ndarray,
     true_pairs: set,
     *,
     num_thresholds: int = 50,
-    one_to_one: bool = True,
 ) -> list[CurvePoint]:
     """Sweep thresholds over the score range and collect (P, R) points.
 
@@ -77,10 +61,7 @@ def precision_recall_curve(
     thresholds = np.linspace(lo, hi, num_thresholds)
     points = []
     for threshold in thresholds:
-        if one_to_one:
-            linked = _one_to_one(pairs, scores, threshold)
-        else:
-            linked = [pairs[i] for i in range(len(pairs)) if scores[i] > threshold]
+        linked = [pairs[i] for i in greedy_one_to_one(pairs, scores, threshold)]
         tp = sum(1 for p in linked if p in true_pairs)
         precision = tp / len(linked) if linked else 0.0
         recall = tp / len(true_pairs) if true_pairs else 0.0

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.consistency import ConsistencyBlock, StructureConsistencyBuilder
 from repro.core.moo import MooConfig, MultiObjectiveModel
+from repro.core.resolve import greedy_one_to_one
 from repro.eval.harness import ExperimentHarness
 from repro.eval.metrics import LinkageMetrics, precision_recall_f1
 from repro.features.missing import CoreStructureFiller, ZeroFiller
@@ -122,7 +123,7 @@ class PreparedExperiment:
 
     # ------------------------------------------------------------------
     def evaluate_config(
-        self, config: MooConfig, *, threshold: float = 0.0, one_to_one: bool = True
+        self, config: MooConfig, *, threshold: float = 0.0
     ) -> _SweepResult:
         """Fit one configuration and score held-out linkage quality."""
         model = MultiObjectiveModel(config)
@@ -137,20 +138,10 @@ class PreparedExperiment:
         exclude = self.harness.split.all_true_labeled
         tp_sum = returned_sum = actual_sum = 0
         for key, rows in self._pair_rows.items():
-            ranked = sorted(
-                ((float(scores[r]), r) for r in rows if scores[r] > threshold),
-                key=lambda t: (-t[0], t[1]),
-            )
-            used_a: set[str] = set()
-            used_b: set[str] = set()
-            linked: list[Pair] = []
-            for _, row in ranked:
-                ref_a, ref_b = self.global_pairs[row]
-                if one_to_one and (ref_a[1] in used_a or ref_b[1] in used_b):
-                    continue
-                used_a.add(ref_a[1])
-                used_b.add(ref_b[1])
-                linked.append((ref_a, ref_b))
+            pairs = [self.global_pairs[r] for r in rows]
+            linked = [
+                pairs[i] for i in greedy_one_to_one(pairs, scores[rows], threshold)
+            ]
             metrics = precision_recall_f1(
                 linked, self.harness.split.heldout_true[key], exclude=exclude
             )

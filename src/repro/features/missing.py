@@ -64,11 +64,6 @@ class CoreStructureFiller:
         When omitted, friend-pair vectors come from ``pipeline.matrix`` —
         i.e. the batch engine — and :meth:`fill_matrix` prefetches every
         friend pair a batch needs in one array-at-a-time call.
-    engine:
-        Featurization engine forwarded to ``pipeline.matrix`` for the
-        prefetch (``None`` = the pipeline default).  A fit that forces the
-        reference path should force it here too, so Eqn 18 vectors come
-        from the same code path as the rest of the matrix.
     cache_limit:
         Upper bound on each memo (friend-pair vectors, Eqn 18 averages);
         oldest entries are evicted first so a long-running service scoring
@@ -85,7 +80,6 @@ class CoreStructureFiller:
         *,
         top_k: int = 3,
         pair_vector: Callable[[AccountRef, AccountRef], np.ndarray] | None = None,
-        engine: str | None = None,
         cache_limit: int = DEFAULT_CACHE_LIMIT,
     ):
         if top_k < 1:
@@ -95,7 +89,6 @@ class CoreStructureFiller:
         self.world = world
         self.pipeline = pipeline
         self.top_k = top_k
-        self.engine = engine
         self.cache_limit = cache_limit
         if pair_vector is not None:
             self._pair_vector = pair_vector
@@ -111,7 +104,6 @@ class CoreStructureFiller:
         # fillers pickled by pre-batch-engine builds (the artifact layer
         # explicitly supports their blobs) predate several attributes
         self.__dict__.update(state)
-        self.__dict__.setdefault("engine", None)
         self.__dict__.setdefault("cache_limit", self.DEFAULT_CACHE_LIMIT)
         self.__dict__.setdefault("_friend_cache", {})
         self.__dict__.setdefault("_average_cache", {})
@@ -201,10 +193,7 @@ class CoreStructureFiller:
                         seen.add(key)
                         needed.append(key)
         if needed:
-            if self.engine is None:
-                vectors = self._matrix(needed)
-            else:
-                vectors = self._matrix(needed, engine=self.engine)
+            vectors = self._matrix(needed)
             for key, vector in zip(needed, vectors):
                 self._bounded_insert(self._vector_cache, key, vector)
 

@@ -39,9 +39,7 @@ rows, attribute codes, and CSR-encoded sensor windows, all indexed by an
 ``AccountRef -> row`` map — and a
 :class:`~repro.features.batch.BatchFeaturizer` evaluates whole pair batches
 with array operations.  The batch path is bit-identical to stacking
-``pair_vector`` calls (the parity is covered by tests); pass
-``engine="reference"`` to force the per-pair path for debugging or
-verification.
+``pair_vector`` calls (the parity is covered by tests).
 """
 
 from __future__ import annotations
@@ -548,30 +546,16 @@ class FeaturePipeline:
             names=self.feature_names,
         )
 
-    def matrix(
-        self,
-        pairs: list[tuple[AccountRef, AccountRef]],
-        *,
-        engine: str | None = None,
-    ) -> np.ndarray:
+    def matrix(self, pairs: list[tuple[AccountRef, AccountRef]]) -> np.ndarray:
         """Feature matrix (n_pairs, D) for a pair list; rows keep NaNs.
 
-        ``engine`` selects the featurization path: ``None`` (default) uses
-        the batch engine when the pipeline has one (every pipeline fitted by
-        this code does), ``"batch"`` requires it, ``"reference"`` forces the
-        per-pair path.  Both paths return bit-identical matrices.
+        Runs on the batch engine, which every pipeline fitted by this code
+        has; pipeline state unpickled from before the engine existed falls
+        back to stacking :meth:`pair_vector` rows (bit-identical).
         """
-        if engine not in (None, "batch", "reference"):
-            raise ValueError(
-                f"engine must be None, 'batch' or 'reference', got {engine!r}"
-            )
         if not pairs:
             return np.zeros((0, self.dim))
         batch = getattr(self, "_batch", None)
-        if engine == "batch" and batch is None:
-            raise RuntimeError(
-                "no batch engine available; fit() the pipeline or call ensure_packed()"
-            )
-        if batch is not None and engine != "reference":
+        if batch is not None:
             return batch.matrix(pairs)
         return np.vstack([self.pair_vector(a, b) for a, b in pairs])

@@ -16,9 +16,7 @@ response is **bit-identical** whether or not the request was coalesced.
 
 Flushes are serialized: while one batch executes, newcomers accumulate in
 the next window, so load adaptively deepens batches instead of piling up
-executor tasks (the same property that makes group-commit work).  With
-``coalesce=False`` every request dispatches immediately and alone — the
-"naive" mode the gateway benchmark compares against.
+executor tasks (the same property that makes group-commit work).
 
 :class:`ReadWriteFence` is the concurrency contract between queries and
 online mutations: any number of read dispatches may overlap, but an
@@ -116,9 +114,6 @@ class MicroBatcher:
     max_wait_ms:
         Flush this long after the *first* request entered an empty window —
         the latency price any request pays for the chance to be coalesced.
-    coalesce:
-        ``False`` dispatches each request immediately and alone (the naive
-        per-request mode the throughput benchmark compares against).
     """
 
     def __init__(
@@ -128,7 +123,6 @@ class MicroBatcher:
         max_batch_pairs: int = 512,
         max_batch_requests: int = 64,
         max_wait_ms: float = 2.0,
-        coalesce: bool = True,
     ):
         if max_batch_pairs < 1:
             raise ValueError(
@@ -144,7 +138,6 @@ class MicroBatcher:
         self.max_batch_pairs = max_batch_pairs
         self.max_batch_requests = max_batch_requests
         self.max_wait_ms = max_wait_ms
-        self.coalesce = coalesce
         self._pending: list[_PendingRequest] = []
         self._pending_pairs = 0
         self._timer: asyncio.TimerHandle | None = None
@@ -156,7 +149,7 @@ class MicroBatcher:
         self.pairs_dispatched = 0
         self.largest_batch_requests = 0
         #: summed per-request delay between enqueue and batch dispatch —
-        #: the latency price paid for coalescing (0 in naive mode)
+        #: the latency price paid for coalescing
         self.batch_wait_seconds = 0.0
 
     async def submit(self, pairs: list, guard=None) -> tuple[object, int]:
@@ -169,14 +162,6 @@ class MicroBatcher:
         service.
         """
         self.requests_submitted += 1
-        if not self.coalesce:
-            if guard is not None:
-                guard()
-            self.batches_dispatched += 1
-            self.pairs_dispatched += len(pairs)
-            self.largest_batch_requests = max(self.largest_batch_requests, 1)
-            results, epoch = await self._dispatch([pairs])
-            return results[0], epoch
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append(_PendingRequest(pairs, future, guard))
@@ -266,7 +251,6 @@ class MicroBatcher:
         """The JSON-ready coalescing metrics block."""
         dispatched = self.batches_dispatched
         return {
-            "coalesce": self.coalesce,
             "max_batch_pairs": self.max_batch_pairs,
             "max_batch_requests": self.max_batch_requests,
             "max_wait_ms": self.max_wait_ms,

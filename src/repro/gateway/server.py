@@ -107,7 +107,6 @@ class GatewayConfig:
     max_batch_pairs: int = 512
     max_batch_requests: int = 64
     max_wait_ms: float = 2.0
-    coalesce: bool = True
     #: admission control (see :mod:`repro.gateway.admission`)
     max_pending: int = 128
     default_deadline_ms: float | None = None
@@ -150,7 +149,6 @@ class LinkageGateway:
             max_batch_pairs=self.config.max_batch_pairs,
             max_batch_requests=self.config.max_batch_requests,
             max_wait_ms=self.config.max_wait_ms,
-            coalesce=self.config.coalesce,
         )
         self._draining = False
         self._swap_lock = asyncio.Lock()

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Per-process worker state: ``linker`` (serving) or ``pipeline`` + ``filler``
-#: (+ optional ``engine``) for fit-time featurization.
+#: for fit-time featurization.
 _STATE: dict = {}
 
 
@@ -100,11 +100,10 @@ def init_scorer_from_linker(linker) -> None:
     _STATE["linker"] = linker
 
 
-def init_featurizer(pipeline, filler, engine: str | None = None) -> None:
+def init_featurizer(pipeline, filler) -> None:
     """Adopt a fitted pipeline + filler for fit-time featurization shards."""
     _STATE["pipeline"] = pipeline
     _STATE["filler"] = filler
-    _STATE["engine"] = engine
 
 
 def init_shard_worker(path: str, batch_size: int = 256) -> None:
@@ -242,9 +241,8 @@ def featurize_shard(index: int, pairs: list) -> ShardResult:
     """
     pipeline = _STATE["pipeline"]
     filler = _STATE["filler"]
-    engine = _STATE.get("engine")
     start = time.perf_counter()
-    x_raw = pipeline.matrix(pairs, engine=engine)
+    x_raw = pipeline.matrix(pairs)
     filled = filler.fill_matrix(pairs, x_raw)
     return ShardResult(
         index=index,

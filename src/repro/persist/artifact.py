@@ -209,7 +209,6 @@ def save_linker(
             },
             "missing_strategy": linker.missing_strategy,
             "threshold": linker.threshold,
-            "one_to_one": linker.one_to_one,
             "use_prematched": linker.use_prematched,
             "seed": linker.seed,
         },
@@ -381,7 +380,6 @@ def load_linker(path, *, linker_cls: type[HydraLinker] = HydraLinker) -> HydraLi
     linker = linker_cls(
         missing_strategy=config["missing_strategy"],
         threshold=config["threshold"],
-        one_to_one=config["one_to_one"],
         use_prematched=config["use_prematched"],
         sigma1=config["consistency"]["sigma1"],
         sigma1_scale=config["consistency"]["sigma1_scale"],

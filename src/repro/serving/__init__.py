@@ -3,20 +3,11 @@
 :class:`LinkageService` loads a fitted linker (in memory or from a
 :mod:`repro.persist` artifact) and answers linkage queries — batch pair
 scoring, per-account candidate resolution, platform-pair top-k — against a
-pre-built per-platform candidate index, without ever refitting.  The
-:mod:`repro.serving.bench` microbenchmark measures the batched scoring
-throughput in pairs/sec.
+pre-built per-platform candidate index, without ever refitting.
+:func:`holdout_split` stages online-arrival scenarios for it.
 """
 
-from repro.serving.bench import (
-    BenchResult,
-    IngestBenchResult,
-    holdout_split,
-    ingest_table,
-    run_ingest_benchmark,
-    run_throughput_benchmark,
-    throughput_table,
-)
+from repro.serving.holdout import holdout_split
 from repro.serving.registry import CandidateDelta, ServingRegistry
 from repro.serving.service import (
     IngestReport,
@@ -27,18 +18,12 @@ from repro.serving.service import (
 )
 
 __all__ = [
-    "BenchResult",
     "CandidateDelta",
-    "IngestBenchResult",
     "IngestReport",
     "holdout_split",
-    "ingest_table",
-    "run_ingest_benchmark",
     "LinkageService",
     "LruCache",
     "ScoredLink",
     "ServiceStats",
     "ServingRegistry",
-    "run_throughput_benchmark",
-    "throughput_table",
 ]

@@ -154,7 +154,6 @@ def _slice_filler(filler, sub_world, sub_pipeline):
             sub_world,
             sub_pipeline,
             top_k=filler.top_k,
-            engine=filler.engine,
             cache_limit=filler.cache_limit,
         )
     raise ShardPlanError(

@@ -12,7 +12,8 @@ gateway):
 * the landmark fast scorer rebuilds deterministically from a model and
   round-trips through artifacts and scoring heads byte-identically, so
   sharded and single-process deployments rank identically;
-* quality at the default budget clears the CI gate (recall@10 >= 0.95).
+* quality at the default budget clears recall@10 >= 0.95, and a budget
+  covering the whole candidate set is lossless (recall 1.0).
 """
 
 import numpy as np
@@ -217,11 +218,20 @@ class TestServiceApprox:
         ]
 
     def test_budget_sweep_monotone_candidates(self, service):
-        points = sweep_service(service, k=5, budgets=(8, 32, 128))
-        assert len(points) == len(service.platform_pairs()) * 3
+        largest = max(
+            len(service.candidate_pairs(key)) for key in service.platform_pairs()
+        )
+        budgets = (8, 32, 128, largest)
+        points = sweep_service(service, k=5, budgets=budgets)
+        assert len(points) == len(service.platform_pairs()) * len(budgets)
         for point in points:
             assert 0.0 <= point.recall <= 1.0
+            assert 0.0 <= point.ndcg <= 1.0 + 1e-9
             assert 0.0 <= point.pruned_fraction < 1.0 or point.budget >= point.candidates
+            # a budget covering the whole candidate set is lossless
+            if point.budget >= point.candidates:
+                assert point.recall == 1.0
+        assert any(point.budget >= point.candidates for point in points)
 
     def test_invalid_budget_rejected(self, service):
         key = service.platform_pairs()[0]

@@ -1,8 +1,10 @@
 """End-to-end tests for the HYDRA estimator (Algorithm 1)."""
 
+import numpy as np
 import pytest
 
 from repro.core import HydraLinker
+from repro.core.resolve import greedy_one_to_one
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +105,31 @@ class TestHydraVariants:
         )
         with pytest.raises(ValueError):
             linker.fit(small_world, [], [])
+
+
+class TestGreedyOneToOne:
+    def test_strongest_pair_claims_both_accounts(self):
+        pairs = [("a0", "b0"), ("a0", "b1"), ("a1", "b1"), ("a1", "b0")]
+        scores = np.array([0.5, 0.9, 0.8, 0.7])
+        # a0-b1 wins; a1-b1 and a0-b0 lose an account to it; a1-b0 is free
+        assert greedy_one_to_one(pairs, scores) == [1, 3]
+
+    def test_ties_break_by_row_and_threshold_is_strict(self):
+        pairs = [("a0", "b0"), ("a1", "b1"), ("a2", "b2"), ("a3", "b3")]
+        scores = np.array([0.4, 0.7, 0.7, 0.0])
+        assert greedy_one_to_one(pairs, scores) == [1, 2, 0]
+        assert greedy_one_to_one(pairs, scores, threshold=0.4) == [1, 2]
+        assert greedy_one_to_one(pairs, scores, threshold=-1.0) == [1, 2, 0, 3]
+
+    def test_nan_never_links(self):
+        pairs = [("a0", "b0"), ("a1", "b1")]
+        assert greedy_one_to_one(pairs, np.array([np.nan, 0.2])) == [1]
+
+    def test_refs_compare_whole(self):
+        # same account id on different platforms are different accounts
+        pairs = [(("x", "1"), ("y", "2")), (("z", "1"), ("y", "3"))]
+        assert greedy_one_to_one(pairs, np.array([0.9, 0.8])) == [0, 1]
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            greedy_one_to_one([("a", "b")], np.zeros(2))

@@ -30,6 +30,11 @@ def _assert_bit_identical(reference: np.ndarray, batch: np.ndarray) -> None:
     )
 
 
+def _reference(pipeline, pairs) -> np.ndarray:
+    """The per-pair path: stacked ``pair_vector`` rows."""
+    return np.vstack([pipeline.pair_vector(a, b) for a, b in pairs])
+
+
 def _mixed_pairs(pipeline, seed: int, extra: int = 250) -> list:
     """True pairs plus random cross-platform pairs (mostly non-matching)."""
     refs = sorted(pipeline._cache)
@@ -50,11 +55,9 @@ def _mixed_pairs(pipeline, seed: int, extra: int = 250) -> list:
 class TestBatchParity:
     def test_session_world_parity(self, fitted_pipeline, true_refs):
         pairs = true_refs + _mixed_pairs(fitted_pipeline, seed=1)
-        reference = fitted_pipeline.matrix(pairs, engine="reference")
-        batch = fitted_pipeline.matrix(pairs, engine="batch")
-        _assert_bit_identical(reference, batch)
-        # the default engine is the batch path
-        _assert_bit_identical(fitted_pipeline.matrix(pairs), batch)
+        _assert_bit_identical(
+            _reference(fitted_pipeline, pairs), fitted_pipeline.matrix(pairs)
+        )
 
     @pytest.mark.parametrize(
         "seed,persons,kernel,q",
@@ -78,41 +81,34 @@ class TestBatchParity:
         )
         pipeline.fit(world, true[:4], [(true[0][0], true[1][1])])
         pairs = true + _mixed_pairs(pipeline, seed=seed, extra=150)
-        _assert_bit_identical(
-            pipeline.matrix(pairs, engine="reference"),
-            pipeline.matrix(pairs, engine="batch"),
-        )
+        _assert_bit_identical(_reference(pipeline, pairs), pipeline.matrix(pairs))
 
     def test_single_pair_matches_pair_vector(self, fitted_pipeline, true_refs):
         pair = true_refs[0]
         vector = fitted_pipeline.pair_vector(*pair)
         _assert_bit_identical(
-            vector[None, :], fitted_pipeline.matrix([pair], engine="batch")
+            vector[None, :], fitted_pipeline.matrix([pair])
         )
 
     def test_featurizer_survives_pickle(self, fitted_pipeline, true_refs):
         featurizer = pickle.loads(pickle.dumps(fitted_pipeline.batch_featurizer))
         pairs = true_refs[:8]
         _assert_bit_identical(
-            fitted_pipeline.matrix(pairs, engine="batch"),
+            fitted_pipeline.matrix(pairs),
             featurizer.matrix(pairs),
         )
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, fitted_pipeline, true_refs):
-        with pytest.raises(ValueError):
-            fitted_pipeline.matrix(true_refs[:1], engine="turbo")
-
     def test_unknown_ref_raises_keyerror_on_both_paths(self, fitted_pipeline):
         ghost = [(("facebook", "no_such"), ("twitter", "nobody"))]
         with pytest.raises(KeyError):
-            fitted_pipeline.matrix(ghost, engine="batch")
+            fitted_pipeline.matrix(ghost)
         with pytest.raises(KeyError):
-            fitted_pipeline.matrix(ghost, engine="reference")
+            _reference(fitted_pipeline, ghost)
 
     def test_empty_batch(self, fitted_pipeline):
-        assert fitted_pipeline.matrix([], engine="batch").shape == (
+        assert fitted_pipeline.matrix([]).shape == (
             0,
             fitted_pipeline.dim,
         )

@@ -147,7 +147,7 @@ class TestCoreStructureFiller:
         filler = CoreStructureFiller(small_world, fitted_pipeline)
         state = dict(filler.__dict__)
         for attr in (
-            "_matrix", "_friend_cache", "_average_cache", "engine", "cache_limit",
+            "_matrix", "_friend_cache", "_average_cache", "cache_limit",
         ):
             state.pop(attr, None)
         old = CoreStructureFiller.__new__(CoreStructureFiller)

@@ -268,19 +268,6 @@ class TestMicroBatcher:
         # the expired request's pairs never reached the service
         assert dispatch.calls == [[["c"]]]
 
-    def test_naive_mode_dispatches_each_request_alone(self):
-        async def main():
-            dispatch = _StubDispatch(delay=0.002)
-            batcher = MicroBatcher(dispatch, coalesce=False)
-            await asyncio.gather(
-                *[batcher.submit([f"p{i}"]) for i in range(4)]
-            )
-            return dispatch
-
-        dispatch = asyncio.run(main())
-        assert len(dispatch.calls) == 4
-        assert all(len(groups) == 1 for groups in dispatch.calls)
-
     def test_invalid_config_rejected(self):
         async def noop(groups):
             return [[] for _ in groups], 0
@@ -412,7 +399,6 @@ class TestGatewayHTTP:
             stats = client.stats()
         assert stats["service"]["queries"] >= 1
         batcher = stats["gateway"]["batcher"]
-        assert batcher["coalesce"] is True
         assert batcher["requests_submitted"] >= 1
         admission = stats["gateway"]["admission"]
         assert "POST /score_pairs" in admission["endpoints"]

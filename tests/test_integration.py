@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import DistributedLinearHydra, HydraLinker
+from repro.core import HydraLinker
 from repro.datagen import WorldConfig, chinese_platform_specs, generate_world
 from repro.eval import ExperimentHarness, default_method_factories
-from repro.features.missing import ZeroFiller
 from repro.features.pipeline import FeaturePipeline
 
 
@@ -112,14 +111,3 @@ class TestHarnessEndToEnd:
         assert results["HYDRA-M"].metrics.f1 >= results["MOBIUS"].metrics.f1
         assert results["SVM-B"].metrics.f1 >= results["MOBIUS"].metrics.f1
 
-
-class TestDistributedIntegration:
-    def test_distributed_on_real_features(self, small_world, fitted_pipeline,
-                                          true_refs, labeled_split):
-        positives, negatives = labeled_split
-        pairs = list(positives) + list(negatives)
-        x = ZeroFiller().fill_matrix(pairs, fitted_pipeline.matrix(pairs))
-        y = np.array([1.0] * len(positives) + [-1.0] * len(negatives))
-        model = DistributedLinearHydra(gamma_l=0.05, gamma_m=0.0, num_workers=3)
-        model.fit(x, y, np.zeros((0, x.shape[1])))
-        assert (model.predict(x) == y).mean() >= 0.8

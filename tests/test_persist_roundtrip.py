@@ -102,6 +102,8 @@ class TestRoundTrip:
         old.mkdir()
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["version"] = 1
+        # older artifacts also carry the since-dropped one_to_one flag
+        manifest["config"]["one_to_one"] = True
         (old / "manifest.json").write_text(json.dumps(manifest))
         with np.load(path / "arrays.npz") as arrays:
             kept = {
@@ -122,6 +124,10 @@ class TestRoundTrip:
             linker.score_pairs(true_refs), loaded.score_pairs(true_refs)
         )
         assert loaded.sparsity_report() == linker.sparsity_report()
+        assert (
+            loaded.linkage("facebook", "twitter").linked
+            == linker.linkage("facebook", "twitter").linked
+        )
 
     def test_sparsity_report_counts_what_the_dense_m_holds(self, saved):
         linker, _ = saved

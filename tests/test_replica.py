@@ -19,7 +19,6 @@ The invariant everything here defends: a follower at the same
 """
 
 import pickle
-import threading
 import time
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.replica.follower import _cancel_aborts
 from repro.replica.router import ReplicaRouter, ReplicaUnavailable
 from repro.serving import LinkageService, holdout_split
 from repro.socialnet import transplant_account
-from repro.wal import WalCursor, WalRecord, WriteAheadLog, load_cursor, read_wal
+from repro.wal import WalCursor, WalRecord, WriteAheadLog, load_cursor
 
 PLATFORM_PAIRS = [("facebook", "twitter")]
 PAIR = PLATFORM_PAIRS[0]
@@ -535,6 +534,12 @@ class TestReplicatedGateway:
             for response in responses:
                 assert response["epoch"] == target_epoch
                 assert response["links"] == responses[0]["links"]
+            # uncached score_pairs re-scores on whichever backend serves it
+            pairs = primary_service.candidate_pairs(PAIR)[:16]
+            expected = primary_service.score_pairs(pairs)
+            for _ in range(4):
+                scores = client.score_pairs(pairs)["scores"]
+                assert np.array_equal(np.array(scores), expected)
             router = primary_gw.gateway._router
             assert router.endpoints[0].forwards > 0
             assert router.local_reads > 0

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import HydraLinker
-from repro.serving import (
-    LinkageService,
-    LruCache,
-    run_throughput_benchmark,
-    throughput_table,
-)
+from repro.serving import LinkageService, LruCache
 
 
 @pytest.fixture(scope="module")
@@ -312,28 +307,3 @@ class TestGroupedScoring:
         for index, chunk in enumerate(slices):
             assert np.array_equal(outputs[index], expected[index])
 
-
-class TestThroughputBenchmark:
-    def test_reports_two_batch_sizes(self, service_and_linker):
-        service, _ = service_and_linker
-        results = run_throughput_benchmark(
-            service, batch_sizes=(8, 32), repeats=1, max_pairs=40
-        )
-        assert [r.batch_size for r in results] == [8, 32]
-        for result in results:
-            assert result.pairs_per_sec > 0
-            assert result.num_pairs <= 40
-            assert result.latency.count == result.repeats
-            assert result.latency.min_seconds == result.best_seconds
-        rows = throughput_table(results)
-        assert len(rows) == 2 and len(rows[0]) == 5
-
-    def test_rejects_empty_workload(self, service_and_linker):
-        service, _ = service_and_linker
-        with pytest.raises(ValueError):
-            run_throughput_benchmark(service, pairs=[], repeats=1)
-
-    def test_rejects_bad_repeats(self, service_and_linker):
-        service, _ = service_and_linker
-        with pytest.raises(ValueError):
-            run_throughput_benchmark(service, repeats=0)

@@ -1,9 +1,10 @@
 """Tests for the distributed shard tier: planner, assignment, router.
 
-Everything here runs the router in ``inline`` mode (sandboxed in-process
-shard states) so the suite stays fast and deterministic; real worker
-processes, SIGKILL failure injection, and journal-replay recovery under a
-live gateway are exercised by ``tests/test_chaos.py``.
+The router runs in ``inline`` mode (sandboxed in-process shard states) so
+the suite stays fast and deterministic; the rebalanced-plan parity test
+also runs it over real worker processes.  SIGKILL failure injection and
+journal-replay recovery under a live gateway are exercised by
+``tests/test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -520,15 +521,17 @@ class TestRebalance:
     ):
         _, plan_dir, _, _, _ = shard_blob
         rebalanced = rebalance_plan(plan_dir, tmp_path / "plan")
-        with ShardedLinkageService(
-            rebalanced, batch_size=64, inline=True
-        ) as router:
-            key = single.platform_pairs()[0]
-            pairs = single.candidate_pairs(key)
-            assert router.candidate_pairs(key) == pairs
-            assert np.array_equal(
-                single.score_pairs(pairs), router.score_pairs(pairs)
-            )
-            assert router.top_k("facebook", "twitter", 6) == single.top_k(
-                "facebook", "twitter", 6
-            )
+        key = single.platform_pairs()[0]
+        pairs = single.candidate_pairs(key)
+        # inline=False: real per-shard worker processes, pickled IPC
+        for inline in (True, False):
+            with ShardedLinkageService(
+                rebalanced, batch_size=64, inline=inline
+            ) as router:
+                assert router.candidate_pairs(key) == pairs
+                assert np.array_equal(
+                    single.score_pairs(pairs), router.score_pairs(pairs)
+                )
+                assert router.top_k("facebook", "twitter", 6) == single.top_k(
+                    "facebook", "twitter", 6
+                )

@@ -163,40 +163,13 @@ class TestServiceCli:
                 "--account", "facebook", "fa000001",
             ])
 
-    def test_serve_bench_runs(self, artifact, capsys):
-        code = main([
-            "serve-bench", "--artifact", str(artifact),
-            "--batch-sizes", "4,16", "--repeats", "1", "--max-pairs", "20",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pairs_per_sec" in out
-        # one row per requested batch size
-        assert len(
-            [line for line in out.splitlines() if line.startswith(("4 ", "16 "))]
-        ) == 2
-
-    def test_serve_bench_json_emits_metric_document(self, artifact, capsys):
-        code = main([
-            "serve-bench", "--artifact", str(artifact),
-            "--batch-sizes", "4", "--repeats", "1", "--max-pairs", "12",
-            "--json",
-        ])
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["name"] == "serve_bench"
-        assert document["metrics"]["pairs_per_sec"] > 0
-        assert document["headers"][0] == "batch_size"
-        assert len(document["rows"]) == 1
-
     def test_serve_parser_wiring(self):
         parser = build_parser()
         args = parser.parse_args([
-            "serve", "--artifact", "x", "--port", "0", "--no-coalesce",
+            "serve", "--artifact", "x", "--port", "0",
             "--max-pending", "9", "--deadline-ms", "250",
         ])
         assert args.command == "serve"
-        assert args.no_coalesce is True
         assert args.max_pending == 9
         assert args.deadline_ms == 250.0
 

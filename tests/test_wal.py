@@ -385,24 +385,29 @@ class TestAccountPayload:
 # ----------------------------------------------------------------------
 class TestServiceWal:
     def test_mutations_append_before_apply(self, fitted_blob, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        service = _clone_service(fitted_blob, wal=wal)
         _, _, _, held = fitted_blob
-        ref_a = _arrive(fitted_blob, service, held[0])
-        ref_b = _arrive(fitted_blob, service, held[1])
-        service.remove_account(ref_a)
-        records = wal.snapshot().records
-        assert [(r.op, r.epoch) for r in records] == [
-            ("ingest", 1), ("ingest", 2), ("remove", 3),
-        ]
-        assert service.registry_epoch == 3
-        # ingest records are self-contained; removals log refs only
-        assert records[0].payloads[0].ref == ref_a
-        assert records[1].payloads[0].ref == ref_b
-        assert records[2].refs == (ref_a,)
-        assert records[2].payloads is None
-        service.close()
-        assert wal.closed
+        # every fsync policy logs every mutation, one record each
+        for fsync in ("never", "batch", "always"):
+            wal = WriteAheadLog(tmp_path / fsync, fsync=fsync)
+            service = _clone_service(fitted_blob, wal=wal)
+            ref_a = _arrive(fitted_blob, service, held[0])
+            ref_b = _arrive(fitted_blob, service, held[1])
+            service.remove_account(ref_a)
+            log = wal.snapshot()
+            records = log.records
+            assert [(r.op, r.epoch) for r in records] == [
+                ("ingest", 1), ("ingest", 2), ("remove", 3),
+            ]
+            assert not log.truncated
+            assert service.registry_epoch == 3
+            # ingest records are self-contained; removals log refs only
+            assert records[0].payloads[0].ref == ref_a
+            assert records[1].payloads[0].ref == ref_b
+            assert records[2].refs == (ref_a,)
+            assert records[2].payloads is None
+            service.close()
+            assert wal.closed
+            assert read_wal(tmp_path / fsync).last_epoch == 3
 
     def test_failed_apply_appends_abort(
         self, fitted_blob, tmp_path, monkeypatch
