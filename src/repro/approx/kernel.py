@@ -74,7 +74,7 @@ class FastScorer:
     """A Nyström-compressed, float32 copy of one fitted decision function.
 
     Instances are plain arrays plus the kernel name — picklable (they ride
-    inside linkers shipped to worker processes) and persistable (see
+    inside pickled linkers) and persistable (see
     :meth:`arrays` / :meth:`manifest_entry` and the ``approx`` section of
     :mod:`repro.persist`).
     """

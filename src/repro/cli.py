@@ -42,9 +42,8 @@ The subcommands cover the common workflows without writing any code:
   epoch vs last acked write); ``--min-epoch`` turns on read-your-writes
   floors and ``--read-replicas`` exercises client-side GET failover.
 
-``fit``, ``score``, ``serve`` and ``replica`` accept ``--workers N`` (and
-``--shard-size``) to shard featurization and scoring across a process pool
-(:mod:`repro.parallel`); results are bit-identical to ``--workers 1``.
+Fitting and single-artifact serving run in one process; ``serve
+--shard-plan`` is the multi-process deployment.
 
 ``loadgen``, ``recover``, ``wal info`` and ``shard info`` accept
 ``--json``: instead of the human table they print one JSON document, so
@@ -148,8 +147,6 @@ def _fit_linker(args):
     linker = HydraLinker(
         missing_strategy=args.missing, seed=args.seed,
         num_topics=10, max_lda_docs=2500,
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
     )
     linker.fit(world, split.labeled_positive, split.labeled_negative, pairs)
     return linker, split, pairs
@@ -174,9 +171,7 @@ def cmd_score(args) -> int:
     """Serve queries from an artifact: platform-pair top-k or one account."""
     from repro.serving import LinkageService
 
-    with LinkageService.from_artifact(
-        args.artifact, workers=args.workers, shard_size=args.shard_size
-    ) as service:
+    with LinkageService.from_artifact(args.artifact) as service:
         return _print_score_query(service, args)
 
 
@@ -327,8 +322,6 @@ def cmd_serve(args) -> int:
             args.replica_of,
             state_dir=args.replica_state,
             checkpoint_every=args.checkpoint_every,
-            workers=args.workers,
-            shard_size=args.shard_size,
         )
         source = args.artifact
         detail = (
@@ -341,7 +334,6 @@ def cmd_serve(args) -> int:
         # (an empty or missing directory starts at the artifact's epoch)
         service = recover(
             args.artifact, args.wal, reopen=True, fsync=args.fsync,
-            workers=args.workers, shard_size=args.shard_size,
         ).service
         source = args.artifact
         detail = (
@@ -349,9 +341,7 @@ def cmd_serve(args) -> int:
             f" epoch={service.registry_epoch}"
         )
     else:
-        service = LinkageService.from_artifact(
-            args.artifact, workers=args.workers, shard_size=args.shard_size
-        )
+        service = LinkageService.from_artifact(args.artifact)
         source = args.artifact
         detail = ""
     read_replicas = _parse_replica_list(args.read_replicas)
@@ -373,8 +363,6 @@ def cmd_replica(args) -> int:
         args.wal,
         state_dir=args.state,
         checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
-        shard_size=args.shard_size,
     )
     status = service.status(poll=False)
     detail = (
@@ -740,15 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--missing", choices=("core", "zero"), default="core",
                        help="missing-data strategy (HYDRA-M / HYDRA-Z)")
 
-    def parallel_opts(p):
-        p.add_argument("--workers", type=int, default=1,
-                       help="process count for sharded featurize/score "
-                            "(default 1 = serial; results are identical)")
-        p.add_argument("--shard-size", type=int, default=None,
-                       dest="shard_size",
-                       help="pairs per shard (default: derived from the "
-                            "workload and worker count)")
-
     p_gen = sub.add_parser("generate", help="generate a world, print stats")
     common(p_gen)
     p_gen.set_defaults(func=cmd_generate)
@@ -776,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_fit)
     fit_opts(p_fit)
-    parallel_opts(p_fit)
     p_fit.add_argument("--out", required=True,
                        help="artifact directory to write")
     p_fit.set_defaults(func=cmd_fit)
@@ -800,7 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--budget", type=int, default=None,
                          help="approximate prefilter budget (pairs scored "
                               "per query; default from ApproxConfig)")
-    parallel_opts(p_score)
     p_score.set_defaults(func=cmd_score)
 
     def json_opt(p):
@@ -872,7 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="comma-separated follower gateways "
                               "(host:port,...) to spread reads across")
-    parallel_opts(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_replica = sub.add_parser(
@@ -894,7 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                            dest="poll_ms",
                            help="WAL poll interval (default 25ms)")
     gateway_opts(p_replica)
-    parallel_opts(p_replica)
     p_replica.set_defaults(func=cmd_replica)
 
     p_shard = sub.add_parser(

@@ -98,11 +98,6 @@ class HydraLinker:
     use_prematched:
         Treat rule pre-matched candidates as (noisy) positive labels,
         as the paper's labeled-data collection does.
-    workers, shard_size:
-        Fit-time featurization parallelism: ``workers`` > 1 shards the
-        featurize-and-fill pass over candidate pairs across a process pool
-        (:mod:`repro.parallel`), merging shard results bit-identically to
-        the serial pass; ``shard_size`` pins the deterministic shard length.
     """
 
     def __init__(
@@ -124,16 +119,12 @@ class HydraLinker:
         use_prematched: bool = True,
         candidate_generator: CandidateGenerator | None = None,
         pipeline: FeaturePipeline | None = None,
-        workers: int = 1,
-        shard_size: int | None = None,
         seed: int = 0,
     ):
         if missing_strategy not in ("core", "zero"):
             raise ValueError(
                 f"missing_strategy must be 'core' or 'zero', got {missing_strategy!r}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.moo_config = MooConfig(
             gamma_l=gamma_l,
             gamma_m=gamma_m,
@@ -158,17 +149,11 @@ class HydraLinker:
         self.consistency_builder = StructureConsistencyBuilder(
             sigma1=sigma1, sigma1_scale=sigma1_scale, sigma2=sigma2, max_hops=max_hops
         )
-        self.workers = workers
-        self.shard_size = shard_size
 
         self.model_: MultiObjectiveModel | None = None
-        #: Directory this linker was last saved to / loaded from (set by the
-        #: persist layer); parallel serving hands it to worker initializers
-        #: so each process loads the artifact instead of unpickling a copy.
-        self.artifact_path_: str | None = None
         #: Serving-registry epoch: bumped on every online mutation (account
-        #: ingestion/removal) so caches, worker pools, and stale artifacts
-        #: keyed to the previous state invalidate exactly once per mutation.
+        #: ingestion/removal) so caches and stale artifacts keyed to the
+        #: previous state invalidate exactly once per mutation.
         self.ingest_epoch_: int = 0
         #: Fit-time Nyström fast scorer (repro.approx) for the approximate
         #: ranking path; persisted in the artifact, rebuilt deterministically
@@ -191,12 +176,7 @@ class HydraLinker:
         return [
             CandidateStage(self.candidate_generator),
             LabelStage(use_prematched=self.use_prematched),
-            FeaturizeStage(
-                self.pipeline,
-                missing_strategy=self.missing_strategy,
-                workers=self.workers,
-                shard_size=self.shard_size,
-            ),
+            FeaturizeStage(self.pipeline, missing_strategy=self.missing_strategy),
             ConsistencyStage(self.consistency_builder),
             OptimizeStage(self.moo_config),
         ]
@@ -223,10 +203,7 @@ class HydraLinker:
         several methods can be compared on identical blocking.
         """
         self._world = world
-        # any on-disk artifact no longer describes this linker: a parallel
-        # service must not hand workers a stale path after a refit; a refit
-        # also resets the mutation history
-        self.artifact_path_ = None
+        # a refit resets the mutation history
         self.ingest_epoch_ = 0
         if platform_pairs is None:
             names = world.platform_names()
@@ -290,7 +267,7 @@ class HydraLinker:
         """The filled feature rows for ``pairs`` (featurize + Eqn 18 fill).
 
         Row-independent: each pair's row is bit-identical no matter which
-        other pairs share the call — the property the sharded workers and
+        other pairs share the call — the property the shard workers and
         the gateway's grouped scoring rely on.  Featurization runs on the
         pipeline's batch engine (packed account store + array-at-a-time
         kernels, see :mod:`repro.features.batch`); missing dimensions
@@ -376,9 +353,6 @@ class HydraLinker:
     def _bump_epoch(self) -> None:
         """Invalidate everything keyed to the pre-mutation serving state."""
         self.ingest_epoch_ += 1
-        # the on-disk artifact no longer matches in-memory state, so parallel
-        # workers must receive the mutated linker, not a stale path
-        self.artifact_path_ = None
         if self._world is not None:
             self.candidate_generator.invalidate_signatures(self._world)
         clear = getattr(self._filler, "clear_memos", None)

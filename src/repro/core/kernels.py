@@ -72,7 +72,8 @@ def make_kernel(name: str, **params) -> KernelFn:
         return linear_kernel
     if name == "rbf":
         # a partial of the module-level function (not a closure) so fitted
-        # models pickle — parallel serving ships them to worker processes
+        # models stay picklable: a fitted linker can be cloned through
+        # pickle into a second, independent service
         return partial(rbf_kernel, gamma=params.get("gamma", 1.0))
     if name == "chi_square":
         return chi_square_kernel

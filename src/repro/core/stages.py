@@ -179,14 +179,6 @@ class FeaturizeStage(LinkageStage):
 
     ``missing_strategy`` selects HYDRA-M (``"core"``, Eqn 18 fill from the
     core social structure) or HYDRA-Z (``"zero"``).
-
-    ``workers`` > 1 shards the featurize-and-fill pass over the global pair
-    layout across a process pool (:mod:`repro.parallel`): model fitting
-    stays in the parent, each worker receives the fitted pipeline and the
-    filler once via its initializer, and the per-shard feature blocks merge
-    in shard order — bit-identical to the serial pass, because every row's
-    featurization and Eqn 18 fill depend only on that row's pair.
-    ``shard_size`` overrides the deterministic shard planner's default.
     """
 
     name = "featurize"
@@ -196,27 +188,13 @@ class FeaturizeStage(LinkageStage):
         pipeline: FeaturePipeline,
         *,
         missing_strategy: str = "core",
-        workers: int = 1,
-        shard_size: int | None = None,
     ):
         if missing_strategy not in ("core", "zero"):
             raise ValueError(
                 f"missing_strategy must be 'core' or 'zero', got {missing_strategy!r}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.pipeline = pipeline
         self.missing_strategy = missing_strategy
-        self.workers = workers
-        self.shard_size = shard_size
-
-    def plan(self, num_pairs: int) -> "ShardPlan":
-        """The deterministic shard plan this stage would use for ``num_pairs``."""
-        from repro.parallel import ShardPlan
-
-        return ShardPlan.build(
-            num_pairs, workers=self.workers, shard_size=self.shard_size
-        )
 
     def run(self, context: LinkageContext) -> None:
         labeled = context.labeled_pairs
@@ -229,31 +207,13 @@ class FeaturizeStage(LinkageStage):
             context.filler = CoreStructureFiller(context.world, self.pipeline)
         else:
             context.filler = ZeroFiller()
-        context.x_all = self._featurize_and_fill(context)
+        x_raw = self.pipeline.matrix(context.global_pairs)
+        context.x_all = context.filler.fill_matrix(context.global_pairs, x_raw)
         context.behavior = {
             ref: self.pipeline.behavior_summary(ref)
             for pair in context.global_pairs
             for ref in pair
         }
-
-    def _featurize_and_fill(self, context: LinkageContext) -> np.ndarray:
-        pairs = context.global_pairs
-        plan = self.plan(len(pairs))
-        if self.workers == 1 or plan.is_serial:
-            x_raw = self.pipeline.matrix(pairs)
-            return context.filler.fill_matrix(pairs, x_raw)
-        from repro.parallel import ShardedExecutor, featurize_shard, init_featurizer
-
-        with ShardedExecutor(
-            workers=min(self.workers, plan.num_shards),
-            initializer=init_featurizer,
-            initargs=(self.pipeline, context.filler),
-        ) as executor:
-            results = executor.run(
-                featurize_shard,
-                [(shard.index, shard.take(pairs)) for shard in plan],
-            )
-        return plan.merge([result.values for result in results])
 
 
 class ConsistencyStage(LinkageStage):

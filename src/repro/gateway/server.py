@@ -555,16 +555,11 @@ class LinkageGateway:
                      "epoch": epoch}
 
     def _load_standby(self, artifact: str) -> LinkageService:
-        """Load a refit artifact as a standby service, mirroring the live
-        service's serving knobs (a swap changes the model, not capacity)."""
+        """Load a refit artifact as a standby service with the live
+        service's ``batch_size`` (a swap changes the model, not chunking)."""
         live = self.service
         return LinkageService(
-            type(live.linker).load(artifact),
-            batch_size=live.batch_size,
-            summary_cache_size=live._summaries.maxsize,
-            score_cache_size=live._score_cache.maxsize,
-            workers=live.workers,
-            shard_size=live.shard_size,
+            type(live.linker).load(artifact), batch_size=live.batch_size
         )
 
     async def _handle_swap(self, body, query, ticket):

@@ -281,10 +281,6 @@ def save_linker(
     if fast_scorer is not None:
         arrays.update(fast_scorer.arrays())
     np.savez_compressed(path / _ARRAYS, **arrays)
-    # remember where this linker lives on disk: parallel serving hands the
-    # path to worker-process initializers so each worker loads the artifact
-    # instead of receiving a pickled copy of the parent's objects
-    linker.artifact_path_ = str(path)
     return path
 
 
@@ -432,7 +428,6 @@ def load_linker(path, *, linker_cls: type[HydraLinker] = HydraLinker) -> HydraLi
     # pre-approx artifacts leave this None; ensure_fast_scorer() rebuilds
     # the identical scorer (deterministic selection) on first approximate use
     linker.fast_scorer_ = fast_scorer
-    linker.artifact_path_ = str(path)
     return linker
 
 

@@ -18,35 +18,32 @@ construction; per-platform-pair candidate scores are computed lazily on
 first touch and memoized in a bounded :class:`LruCache`, as are per-account
 behavior summaries.  :meth:`LinkageService.stats` exposes the running
 counters (queries, pairs scored, cache hit/miss rates) for capacity
-monitoring.  Featurization inside :meth:`LinkageService.score_pairs` runs on
-the pipeline's batch engine (see :mod:`repro.features.batch`), so each
-fixed-size batch is scored array-at-a-time.
+monitoring.
 
-Construct the service with ``workers=N`` to shard scoring across a process
-pool (:mod:`repro.parallel`): pair batches are partitioned by a deterministic
-shard plan, each worker process holds its own copy of the fitted linker —
-loaded from the persisted artifact when the linker knows its
-``artifact_path_``, otherwise shipped by the pool machinery — and shard
-results merge in shard order, bit-identical to the serial path.  The pool
-spins up lazily on the first sharded call and is released by
-:meth:`LinkageService.close` (the service is also a context manager).
-Per-worker shard and pair counts roll up into :class:`ServiceStats`.
+Every scoring path composes two chunked loops: a featurize loop on the
+pipeline's batch engine (see :mod:`repro.features.batch`), whose rows are
+row-independent, and a decision loop that runs the kernel over fixed
+``batch_size`` chunks of those rows.  The kernel's Gram products are
+chunk-shape-sensitive at the bit level, so sharing the one decision loop
+is what keeps :meth:`LinkageService.score_pairs`,
+:meth:`LinkageService.score_pairs_grouped`, the score-cache fill and the
+approximate path's exact rescore byte-identical to one another.  The
+service runs in the calling process; multi-process serving is the shard
+tier's job (:mod:`repro.shard`).
 
 The service is *mutable* at serve time: :meth:`LinkageService.add_accounts`
 absorbs accounts that arrived after the fit (frozen models, O(new)
 delta-packing, live incremental blocking — see :mod:`repro.serving.registry`
 and :mod:`repro.index`), and :meth:`LinkageService.remove_account` withdraws
-one.  Every mutation bumps the registry epoch, which invalidates the
-affected per-platform-pair score caches and retires any worker pool built
-against the previous state; shard tasks carry the epoch so a stale worker
-fails loudly rather than serving pre-mutation scores.
+one.  Every mutation bumps the registry epoch and invalidates the affected
+per-platform-pair score caches.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +51,11 @@ import numpy as np
 from repro.approx import ApproxConfig, prune_rows
 from repro.core.hydra import HydraLinker
 from repro.features.pipeline import AccountRef
-from repro.parallel import ShardPlan, ShardedExecutor
-from repro.parallel import worker as _worker
 from repro.utils.ranking import top_k_indices
 
 __all__ = [
+    "SCORE_CACHE_SIZE",
+    "SUMMARY_CACHE_SIZE",
     "IngestReport",
     "LinkageService",
     "LruCache",
@@ -67,6 +64,12 @@ __all__ = [
 ]
 
 Pair = tuple[AccountRef, AccountRef]
+
+#: Capacity of the per-account behavior-summary LRU.
+SUMMARY_CACHE_SIZE = 4096
+#: Capacity of the per-platform-pair candidate-score LRU; keeps the
+#: memoized score arrays bounded when a service handles many platform pairs.
+SCORE_CACHE_SIZE = 64
 
 
 class LruCache:
@@ -187,11 +190,11 @@ class IngestReport:
 class ServiceStats:
     """Running counters of one service instance.
 
-    The sharded-execution block: ``parallel_queries`` counts scoring calls
-    that went through the process pool, ``shards_dispatched`` the shards
-    they fanned out, and ``worker_pairs`` / ``worker_shards`` break pairs
-    and shards down per worker process (keyed ``"pid:<n>"``) so capacity
-    monitoring can spot skew.
+    The workload block: ``queries`` counts served calls (a grouped call
+    counts one per group), ``pairs_scored`` / ``batches`` the pairs and
+    ``batch_size`` chunks those calls scored, and the ``*_cache_*``
+    counters the summary and score LRUs' hits, misses and entries.
+    Internal cache fills are not workload.
 
     The ingestion block: ``registry_epoch`` is the served registry's
     mutation epoch (0 = pristine fit state), and ``accounts_ingested`` /
@@ -219,11 +222,6 @@ class ServiceStats:
     score_cache_entries: int = 0
     score_cache_hits: int = 0
     score_cache_misses: int = 0
-    workers: int = 1
-    parallel_queries: int = 0
-    shards_dispatched: int = 0
-    worker_pairs: dict[str, int] = field(default_factory=dict)
-    worker_shards: dict[str, int] = field(default_factory=dict)
     registry_epoch: int = 0
     accounts_ingested: int = 0
     accounts_removed: int = 0
@@ -255,22 +253,7 @@ class LinkageService:
     linker:
         A fitted :class:`~repro.core.hydra.HydraLinker`.
     batch_size:
-        Featurization batch size for :meth:`score_pairs`.
-    summary_cache_size:
-        Capacity of the per-account behavior-summary LRU.
-    score_cache_size:
-        Capacity of the per-platform-pair candidate-score LRU; keeps the
-        memoized score arrays bounded when a service handles many platform
-        pairs.
-    workers:
-        Scoring process count.  ``1`` (default) scores inline; ``N > 1``
-        shards every scoring call across a lazily-started process pool,
-        merging results bit-identically to the inline path.  Call
-        :meth:`close` (or use the service as a context manager) to release
-        the pool.
-    shard_size:
-        Pins the deterministic shard length; default lets the plan derive
-        it from the workload and worker count.
+        Featurization and kernel chunk size for :meth:`score_pairs`.
     wal:
         An open :class:`~repro.wal.log.WriteAheadLog`.  When attached,
         every mutation (:meth:`add_accounts` / :meth:`remove_account`)
@@ -278,59 +261,45 @@ class LinkageService:
         so a crash at any instant is recoverable from the base artifact
         plus the log (:func:`repro.wal.recover`).  :meth:`close`
         flushes and closes it.
-    approx:
-        Defaults for the approximate scoring path
-        (:class:`~repro.approx.ApproxConfig`): the prefilter budget when
-        a ``top_k(..., exact=False)`` caller does not pass one, the
-        landmark count, and the rescore window.  The approximate path is
-        **opt-in per call** — construction never changes exact behavior.
+
+    The summary and score LRUs hold :data:`SUMMARY_CACHE_SIZE` and
+    :data:`SCORE_CACHE_SIZE` entries.
     """
+
+    #: Defaults for the approximate scoring path: the prefilter budget when
+    #: a ``top_k(..., exact=False)`` caller does not pass one, the landmark
+    #: count, and the rescore window.  The approximate path is **opt-in per
+    #: call** — exact behavior never depends on it.
+    approx = ApproxConfig()
 
     def __init__(
         self,
         linker: HydraLinker,
         *,
         batch_size: int = 256,
-        summary_cache_size: int = 4096,
-        score_cache_size: int = 64,
-        workers: int = 1,
-        shard_size: int | None = None,
         wal=None,
-        approx: ApproxConfig | None = None,
     ):
         if linker.model_ is None or linker._filler is None:
             raise RuntimeError("linker is not fitted; fit() or load() first")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.linker = linker
         self.batch_size = batch_size
-        self.workers = workers
-        self.shard_size = shard_size
         self._wal = wal
-        self._executor: ShardedExecutor | None = None
-        self._executor_epoch: int | None = None
         self._registry = None  # lazy ServingRegistry, built on first mutation
-        # workload counters and the pool handle are touched by every reader;
-        # the gateway runs readers on several threads, so both get a lock
-        # (mutations — add/remove — additionally require the gateway's
-        # writer fence: reads during a mutation are the *caller's* race)
+        # workload counters are touched by every reader; the gateway runs
+        # readers on several threads, so they get a lock (mutations —
+        # add/remove — additionally require the gateway's writer fence:
+        # reads during a mutation are the *caller's* race)
         self._stats_lock = threading.Lock()
-        self._pool_lock = threading.RLock()
-        self._summaries = LruCache(summary_cache_size)
-        self._score_cache = LruCache(score_cache_size)
+        self._summaries = LruCache(SUMMARY_CACHE_SIZE)
+        self._score_cache = LruCache(SCORE_CACHE_SIZE)
         self._queries = 0
         self._pairs_scored = 0
         self._batches = 0
-        self._parallel_queries = 0
-        self._shards_dispatched = 0
-        self._worker_pairs: Counter = Counter()
-        self._worker_shards: Counter = Counter()
         self._accounts_ingested = 0
         self._accounts_removed = 0
         self._ingest_batches = 0
-        self.approx = approx if approx is not None else ApproxConfig()
         self._distance_batches = 0
         self._summary_batch_hits = 0
         self._approx_queries = 0
@@ -381,15 +350,22 @@ class LinkageService:
             raise KeyError(f"platform pair {key} was not fitted")
         return list(self._index[key].pairs)
 
+    def _batch(self, batch_size: int | None) -> int:
+        """The effective chunk size of one scoring call, validated."""
+        batch = batch_size if batch_size is not None else self.batch_size
+        if batch < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch}")
+        return batch
+
     def score_pairs(
         self, pairs: list[Pair], *, batch_size: int | None = None
     ) -> np.ndarray:
-        """Decision values for arbitrary pairs, featurized batch by batch."""
+        """Decision values for arbitrary pairs, scored chunk by chunk."""
+        batch = self._batch(batch_size)
         with self._stats_lock:
             self._queries += 1
         if not pairs:
             return np.zeros(0)
-        batch = batch_size if batch_size is not None else self.batch_size
         out = self._score(pairs, batch)
         with self._stats_lock:
             self._pairs_scored += len(pairs)
@@ -404,125 +380,73 @@ class LinkageService:
         The coalescing entry point for the gateway's micro-batcher
         (:mod:`repro.gateway.batcher`): concurrent ``score_pairs`` requests
         are concatenated and featurized array-at-a-time, amortizing the
-        per-call featurization fixed costs, while each group's kernel
-        decision runs with exactly the chunk composition a standalone
-        :meth:`score_pairs` call would use — so every group's scores are
-        **bit-identical** to scoring that group alone
-        (:func:`repro.parallel.worker.score_grouped`).  Each group counts
-        as one query.  Grouped calls always score inline; the gateway owns
-        its own concurrency and per-group work is too fine to shard.
+        per-call featurization fixed costs — featurization is
+        row-independent, so every row is bit-identical to featurizing its
+        group alone.  Each group's kernel decision then runs over that
+        group's rows with exactly the chunk composition a standalone
+        :meth:`score_pairs` call would use, so every group's scores are
+        **bit-identical** to scoring that group alone.  Each group counts
+        as one query.
         """
-        batch = batch_size if batch_size is not None else self.batch_size
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
+        batch = self._batch(batch_size)
         with self._stats_lock:
             self._queries += len(groups)
         total = sum(len(group) for group in groups)
         if total == 0:
             return [np.zeros(0) for _ in groups]
-        out = _worker.score_grouped(self.linker, groups, batch)
+        x = self._featurize_chunked(
+            [pair for group in groups for pair in group], batch
+        )
+        out: list[np.ndarray] = []
+        offset = 0
+        for group in groups:
+            out.append(self._decide_chunked(x[offset : offset + len(group)], batch))
+            offset += len(group)
         with self._stats_lock:
             self._pairs_scored += total
             self._batches += -(-total // batch)  # ceil division
         return out
 
+    def _featurize_chunked(self, pairs: list[Pair], batch: int) -> np.ndarray:
+        """Exact float64 feature rows, featurized ``batch`` pairs at a time.
+
+        Featurized rows are row-independent (bit-identical regardless of
+        co-batched pairs), so these rows can be sliced, regrouped and
+        decided in any subset without breaking the exactness contract;
+        the chunking only bounds the featurizer's working set.
+        """
+        return np.vstack([
+            self.linker.featurize_pairs(pairs[lo : lo + batch])
+            for lo in range(0, len(pairs), batch)
+        ])
+
+    def _decide_chunked(self, x: np.ndarray, batch: int) -> np.ndarray:
+        """Exact float64 decision values for featurized rows.
+
+        The one decision loop: the kernel runs over consecutive ``batch``
+        row chunks, so deciding a pair list's rows yields the bytes every
+        other scoring path yields for the same list.
+        """
+        out = np.empty(x.shape[0])
+        for lo in range(0, x.shape[0], batch):
+            out[lo : lo + batch] = self.linker.score_features(x[lo : lo + batch])
+        return out
+
     def _score(self, pairs: list[Pair], batch: int) -> np.ndarray:
-        """Batched scoring through the linker's own pipeline; counters stay
-        untouched so internal cache fills don't masquerade as workload
-        (sharding bookkeeping — shard/worker attribution — is recorded, as
-        it describes execution, not workload)."""
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
-        plan = self._plan(len(pairs), batch)
-        if plan is not None:
-            return self._score_sharded(pairs, batch, plan)
-        return _worker.score_chunked(self.linker, pairs, batch)
+        """Chunked scoring through the linker; counters stay untouched so
+        internal cache fills don't masquerade as workload.
 
-    def _plan(self, num_pairs: int, batch: int) -> ShardPlan | None:
-        """The shard plan for this workload, or None for the inline path.
-
-        Shard lengths are aligned **up** to a multiple of the featurization
-        batch size: featurized rows are batch-invariant, but the kernel
-        Gram products inside ``decision_function`` are evaluated per batch,
-        and BLAS accumulates a product's entries in a shape-dependent
-        order.  Aligned shards present workers with exactly the chunk
-        compositions the serial loop would have used, which is what makes
-        ``workers=N`` bit-identical to ``workers=1`` (a shard size that is
-        not a multiple of the batch would still be correct to ~1e-9, like
-        re-batching is, but not bit-for-bit).
-        """
-        if self.workers == 1 or num_pairs < 2:
-            return None
-        if self.shard_size is not None:
-            shard_size = -(-self.shard_size // batch) * batch
-        else:
-            draft = ShardPlan.build(num_pairs, workers=self.workers)
-            shard_size = -(-draft.shard_size // batch) * batch
-        plan = ShardPlan.build(
-            num_pairs, workers=self.workers, shard_size=shard_size
-        )
-        return None if plan.is_serial else plan
-
-    def _score_sharded(
-        self, pairs: list[Pair], batch: int, plan: ShardPlan
-    ) -> np.ndarray:
-        executor = self._ensure_executor()
-        epoch = self.registry_epoch
-        results = executor.run(
-            _worker.score_shard,
-            [(shard.index, shard.take(pairs), batch, epoch) for shard in plan],
-        )
-        with self._stats_lock:
-            self._parallel_queries += 1
-            self._shards_dispatched += plan.num_shards
-            for result in results:
-                self._worker_pairs[result.worker] += result.num_items
-                self._worker_shards[result.worker] += 1
-        return plan.merge([result.values for result in results])
-
-    def _ensure_executor(self) -> ShardedExecutor:
-        """The lazily-started scoring pool, pinned to the registry epoch.
-
-        Workers are initialized once per process: from the persisted
-        artifact when the linker knows where it lives on disk (each worker
-        pays one load, nothing is re-pickled), otherwise the fitted linker
-        itself is shipped through the pool machinery.  A registry mutation
-        (account ingestion/removal) bumps the epoch; a pool built before the
-        mutation is torn down and rebuilt so every sharded call sees one
-        consistent snapshot of the mutated state — mutated linkers always
-        ship by object (their ``artifact_path_`` is cleared on mutation).
-        """
-        with self._pool_lock:
-            epoch = self.registry_epoch
-            if self._executor is not None and self._executor_epoch != epoch:
-                self._close_pool()
-            if self._executor is None:
-                from repro.persist import artifact_exists
-
-                path = getattr(self.linker, "artifact_path_", None)
-                if path is not None and artifact_exists(path):
-                    initializer = _worker.init_scorer_from_artifact
-                    initargs: tuple = (str(path),)
-                else:
-                    initializer = _worker.init_scorer_from_linker
-                    initargs = (self.linker,)
-                self._executor = ShardedExecutor(
-                    workers=self.workers, initializer=initializer,
-                    initargs=initargs,
-                )
-                self._executor_epoch = epoch
-            return self._executor
-
-    def _close_pool(self) -> None:
-        """Release the scoring pool (also used to retire a stale-epoch pool)."""
-        with self._pool_lock:
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
+        Each chunk is decided before the next one is featurized, so a
+        cache fill over a whole candidate set holds one chunk of feature
+        rows at a time, not the set's full matrix."""
+        out = np.empty(len(pairs))
+        for lo in range(0, len(pairs), batch):
+            x = self._featurize_chunked(pairs[lo : lo + batch], batch)
+            out[lo : lo + len(x)] = self._decide_chunked(x, batch)
+        return out
 
     def close(self) -> None:
-        """Release the scoring pool and flush/close the attached WAL."""
-        self._close_pool()
+        """Flush and close the attached WAL."""
         self.close_wal()
 
     def __enter__(self) -> "LinkageService":
@@ -640,8 +564,7 @@ class LinkageService:
         indexes of every fitted platform pair it participates in, and the
         touched candidate groups are re-ranked under the per-account budget.
         Score caches for the mutated platform pairs invalidate via the
-        registry epoch, and a sharded scoring pool built before the mutation
-        is replaced so ``workers > 1`` serves a consistent snapshot.
+        registry epoch.
 
         With ``score=True`` the newly created candidate pairs are scored
         immediately and returned (strongest first) on the report.
@@ -881,10 +804,10 @@ class LinkageService:
 
     def stats(self) -> ServiceStats:
         """Snapshot of the service counters."""
-        # cache numbers are gathered before _stats_lock: a cache fill holds
-        # its cache lock and then takes _stats_lock (sharded bookkeeping),
-        # so taking the cache lock while holding _stats_lock would invert
-        # the order and deadlock
+        # cache numbers are gathered before _stats_lock: a score-cache fill
+        # holds its cache lock for the whole scoring pass, and waiting on
+        # it while holding _stats_lock would stall every reader's counter
+        # update behind the fill; the two locks are never nested
         summary_hits, summary_misses = (
             self._summaries.hits, self._summaries.misses,
         )
@@ -902,11 +825,6 @@ class LinkageService:
                 score_cache_entries=score_entries,
                 score_cache_hits=score_hits,
                 score_cache_misses=score_misses,
-                workers=self.workers,
-                parallel_queries=self._parallel_queries,
-                shards_dispatched=self._shards_dispatched,
-                worker_pairs=dict(self._worker_pairs),
-                worker_shards=dict(self._worker_shards),
                 registry_epoch=self.registry_epoch,
                 accounts_ingested=self._accounts_ingested,
                 accounts_removed=self._accounts_removed,
@@ -954,34 +872,6 @@ class LinkageService:
         """The linker's landmark fast scorer (built lazily, deterministic)."""
         return self.linker.ensure_fast_scorer()
 
-    def _featurize_chunked(self, pairs: list[Pair]) -> np.ndarray:
-        """Exact float64 feature rows, chunked like the serial score loop.
-
-        Featurized rows are row-independent (bit-identical regardless of
-        co-batched pairs), so these rows can be sliced and rescored in any
-        subset without breaking the exactness contract.
-        """
-        blocks = [
-            self.linker.featurize_pairs(pairs[lo : lo + self.batch_size])
-            for lo in range(0, len(pairs), self.batch_size)
-        ]
-        return np.vstack(blocks)
-
-    def _exact_rescore(self, x: np.ndarray) -> np.ndarray:
-        """Exact float64 decision values for featurized rows.
-
-        Chunked at ``batch_size`` — the same chunk compositions
-        :func:`repro.parallel.worker.score_chunked` presents — so rescoring
-        the final ``k`` rows yields bytes identical to
-        ``score_pairs(final_pairs)``.
-        """
-        out = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], self.batch_size):
-            out[lo : lo + self.batch_size] = self.linker.score_features(
-                x[lo : lo + self.batch_size]
-            )
-        return out
-
     def _approx_top_k(
         self,
         key: tuple[str, str],
@@ -1015,15 +905,15 @@ class LinkageService:
         if not items or k == 0:
             return [], np.zeros(0)
         pairs = [self._index[key].pairs[row] for key, row, _ in items]
-        x = self._featurize_chunked(pairs)
+        x = self._featurize_chunked(pairs, self.batch_size)
         fast = self._fast_scorer().score(x)
         shortlist = top_k_indices(
             fast, min(len(items), k * self.approx.rescore_multiple)
         )
-        mid = self._exact_rescore(x[shortlist])
+        mid = self._decide_chunked(x[shortlist], self.batch_size)
         keep = top_k_indices(mid, k)
         final = shortlist[keep]
-        final_scores = self._exact_rescore(x[final])
+        final_scores = self._decide_chunked(x[final], self.batch_size)
         order = top_k_indices(final_scores, final_scores.shape[0])
         with self._stats_lock:
             self._approx_queries += 1

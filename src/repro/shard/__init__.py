@@ -2,8 +2,8 @@
 
 The tier splits a fitted :class:`~repro.core.HydraLinker` artifact into K
 disjoint shard artifacts (:func:`plan_shards`), serves each from its own
-worker process (:mod:`repro.shard.tasks` over
-:func:`repro.parallel.worker.init_shard_worker`), and routes queries
+worker process (:mod:`repro.shard.tasks`, initialized by
+:func:`repro.shard.tasks.init_shard_worker`), and routes queries
 through :class:`ShardedLinkageService` — a drop-in
 :class:`~repro.serving.LinkageService` for the gateway whose merged
 results are bit-identical to a single-process deployment.

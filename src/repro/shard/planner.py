@@ -11,9 +11,9 @@ The planner turns a single-process artifact (:mod:`repro.persist`) into a
       ...
 
 Each shard artifact is a complete, loadable linker over a
-``PackedAccountStore.subset()`` of the account universe, so the per-shard
-serving workers initialize from a path exactly like single-process parallel
-workers do (:func:`repro.parallel.worker.init_shard_worker`).
+``PackedAccountStore.subset()`` of the account universe, so each per-shard
+serving worker initializes from a path
+(:func:`repro.shard.tasks.init_shard_worker`).
 
 Three account sets per shard, computed here and recorded in the shard's
 manifest:
@@ -191,7 +191,6 @@ def _slice_linker(linker, resident_order, shard_candidates, owned_pairs):
     shard.candidates_ = shard_candidates
     shard.global_pairs_ = owned_pairs
     shard.blocks_ = []
-    shard.artifact_path_ = None
     return shard
 
 

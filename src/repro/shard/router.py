@@ -11,9 +11,9 @@ deployment; kernel Gram products are *chunk-shape-sensitive*, so the router
 reassembles the rows in request order and scores them itself through the
 plan's scoring head (:func:`repro.persist.load_scoring_head`) in exactly
 the ``batch_size`` chunk composition the single-shard service would use
-(:func:`repro.parallel.worker.score_chunked` /
-:func:`~repro.parallel.worker.score_grouped`).  Same rows, same chunks,
-same operands — same bytes.
+(:meth:`repro.serving.LinkageService.score_pairs` /
+:meth:`~repro.serving.LinkageService.score_pairs_grouped`).  Same rows,
+same chunks, same operands — same bytes.
 
 **Degraded reads.**  A shard failure (dead pool, timeout) marks the shard
 down; its rows stay NaN in the assembled matrix, which keeps the chunk
@@ -34,6 +34,7 @@ rejoins at the epoch it would have reached had it never died.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,10 +42,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.approx import ApproxConfig, FastScorer, prune_rows
-from repro.parallel import worker as _worker
-from repro.parallel.engine import default_mp_context
 from repro.persist import load_scoring_head
-from repro.serving.service import IngestReport, LruCache, ScoredLink
+from repro.serving.service import (
+    SCORE_CACHE_SIZE,
+    IngestReport,
+    LruCache,
+    ScoredLink,
+)
 from repro.shard import tasks as _tasks
 from repro.shard.planner import ShardTopology, load_shard_plan
 from repro.utils.ranking import top_k_indices
@@ -57,6 +61,19 @@ __all__ = [
 
 AccountRef = tuple[str, str]
 Pair = tuple[AccountRef, AccountRef]
+
+
+def default_mp_context():
+    """The preferred multiprocessing context: ``fork`` when available.
+
+    Forked shard workers start without re-importing the package.
+    Platforms without ``fork`` (Windows, and macOS defaults) use their own
+    default, for which the initializer arguments — a path and a batch
+    size — pickle trivially.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 class ShardUnavailableError(RuntimeError):
@@ -153,24 +170,23 @@ class ShardedLinkageService:
         deployment being compared against for bit-parity.
     inline:
         Run every shard in-process (sandboxed via
-        :func:`repro.parallel.worker.swap_state`) instead of spawning
+        :func:`repro.shard.tasks.swap_state`) instead of spawning
         worker processes.  For tests and constrained environments; the
         failure-isolation story obviously requires processes.
-    score_cache_size:
-        Capacity of the per-platform-pair candidate-score LRU.
     request_timeout:
         Seconds to wait on any one shard task before declaring the shard
         down.
-    approx:
-        Defaults for the approximate path (``top_k(..., exact=False)``):
-        router-side prefilter budget, rescore window, landmark count.
-        The fast scorer itself comes from the scoring head when the plan
-        persisted one, so the router's approximate ranking bit-agrees
-        with the single-process service over the same artifact.
+
+    The approximate path's fast scorer comes from the scoring head when
+    the plan persisted one, so the router's approximate ranking
+    bit-agrees with the single-process service over the same artifact.
     """
 
     #: lets the gateway distinguish sharded deployments (no /swap, 503s)
     is_sharded = True
+    #: Defaults for the approximate path (``top_k(..., exact=False)``):
+    #: router-side prefilter budget, rescore window, landmark count.
+    approx = ApproxConfig()
 
     def __init__(
         self,
@@ -178,9 +194,7 @@ class ShardedLinkageService:
         *,
         batch_size: int = 256,
         inline: bool = False,
-        score_cache_size: int = 64,
         request_timeout: float = 600.0,
-        approx: ApproxConfig | None = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -191,7 +205,6 @@ class ShardedLinkageService:
         self.batch_size = batch_size
         self.inline = inline
         self.request_timeout = request_timeout
-        self.approx = approx if approx is not None else ApproxConfig()
         head = load_scoring_head(topology.head_path)
         self._model = head["model"]
         self.feature_names = head["feature_names"]
@@ -213,7 +226,7 @@ class ShardedLinkageService:
 
         self._epoch = topology.base_epoch
         self._journal: list[tuple] = []
-        self._score_cache = LruCache(score_cache_size)
+        self._score_cache = LruCache(SCORE_CACHE_SIZE)
         self._stats_lock = threading.Lock()
         self._queries = 0
         self._pairs_scored = 0
@@ -243,16 +256,16 @@ class ShardedLinkageService:
         """Boot one shard worker from its artifact and health-check it."""
         if self.inline:
             state: dict = {}
-            previous = _worker.swap_state(state)
+            previous = _tasks.swap_state(state)
             try:
-                _worker.init_shard_worker(handle.path, self.batch_size)
+                _tasks.init_shard_worker(handle.path, self.batch_size)
             finally:
-                _worker.swap_state(previous)
+                _tasks.swap_state(previous)
             handle.inline_state = state
         else:
             handle.pool = ProcessPoolExecutor(
                 max_workers=1,
-                initializer=_worker.init_shard_worker,
+                initializer=_tasks.init_shard_worker,
                 initargs=(handle.path, self.batch_size),
                 mp_context=default_mp_context(),
             )
@@ -276,13 +289,13 @@ class ShardedLinkageService:
                 future.set_exception(exc)
                 return future
         future = Future()
-        previous = _worker.swap_state(handle.inline_state)
+        previous = _tasks.swap_state(handle.inline_state)
         try:
             future.set_result(fn(*args))
         except BaseException as exc:  # delivered via future, like a pool
             future.set_exception(exc)
         finally:
-            _worker.swap_state(previous)
+            _tasks.swap_state(previous)
         return future
 
     def _mark_down(self, handle: _ShardHandle, exc: BaseException) -> None:
@@ -469,14 +482,14 @@ class ShardedLinkageService:
         self, pairs: list[Pair], *, batch_size: int | None = None
     ) -> np.ndarray:
         """Decision values in request order; NaN for pairs on down shards."""
+        batch = batch_size if batch_size is not None else self.batch_size
+        if batch < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch}")
         with self._stats_lock:
             self._queries += 1
         if not pairs:
             return np.zeros(0)
         pairs = self._normalize(pairs)
-        batch = batch_size if batch_size is not None else self.batch_size
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
         x, down = self._featurize(pairs)
         scores = self._score_rows(x, batch)
         with self._stats_lock:
@@ -494,8 +507,8 @@ class ShardedLinkageService:
         One scatter featurizes every group's pairs; each group's rows are
         then head-scored with exactly the chunk composition a standalone
         ``score_pairs`` call would use, mirroring
-        :func:`repro.parallel.worker.score_grouped` — so coalescing never
-        changes a group's bytes.
+        :meth:`repro.serving.LinkageService.score_pairs_grouped` — so
+        coalescing never changes a group's bytes.
         """
         batch = batch_size if batch_size is not None else self.batch_size
         if batch < 1:

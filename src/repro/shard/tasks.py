@@ -1,11 +1,14 @@
 """Task functions executed inside per-shard worker processes.
 
-A shard worker is a process initialized by
-:func:`repro.parallel.worker.init_shard_worker` (artifact path in, a
-:class:`~repro.serving.LinkageService` over the shard's packed-subset
-linker out).  The router (:mod:`repro.shard.router`) submits these
-functions over a ``ProcessPoolExecutor``; arguments and results travel by
-pickle, so they use native tuples/frozensets/arrays throughout.
+A shard worker is a process initialized by :func:`init_shard_worker`
+(artifact path in, a :class:`~repro.serving.LinkageService` over the
+shard's packed-subset linker out).  The router (:mod:`repro.shard.router`)
+submits these functions over a ``ProcessPoolExecutor``; arguments and
+results travel by pickle, so they use native tuples/frozensets/arrays
+throughout.  The worker's state lives in a module-level dict so task
+functions reach it without re-pickling per call; :func:`swap_state` lets
+the router's inline mode run several shards in one process, each under
+its own sandboxed dict.
 
 The scatter-gather split: workers **featurize** (row-independent, so a
 shard's rows are bit-identical to the single-process rows), the router
@@ -25,20 +28,23 @@ exact as the graph grows.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
-from repro.parallel import worker as _worker
 from repro.wal.payload import apply_payload, payload_from_json
 
 __all__ = [
     "PairNotServed",
     "StaleShardEpoch",
+    "init_shard_worker",
     "shard_distances",
     "shard_featurize",
     "shard_health",
     "shard_ingest",
     "shard_remove",
+    "swap_state",
+    "worker_state",
 ]
 
 AccountRef = tuple[str, str]
@@ -58,8 +64,57 @@ class StaleShardEpoch(RuntimeError):
     """The worker's registry epoch disagrees with the router's expectation."""
 
 
+#: Per-process worker state: ``shard_service``, ``shard_meta`` and
+#: ``shard_served``, set once by :func:`init_shard_worker`.
+_STATE: dict = {}
+
+
+def swap_state(new: dict) -> dict:
+    """Replace the module state dict, returning the previous one.
+
+    The router's inline mode sandboxes each shard's state this way; worker
+    processes never need it (each owns the module outright).
+    """
+    global _STATE
+    old = _STATE
+    _STATE = new
+    return old
+
+
+def worker_state() -> dict:
+    """The live per-process state dict (the task functions mutate it)."""
+    return _STATE
+
+
+def init_shard_worker(path: str, batch_size: int = 256) -> None:
+    """Load one shard artifact and stand up its serving state.
+
+    The router initializes each per-shard worker process with this
+    function: it loads the shard's packed-subset linker, wraps it in a
+    full :class:`~repro.serving.LinkageService` (caches, registry,
+    candidate maintenance) and records the shard's manifest metadata — in
+    particular the *served* account set, the refs whose Eqn 18 fill
+    closure is fully resident on this shard and whose pair scores are
+    therefore bit-exact.
+    """
+    from repro.persist import artifact_summary, load_linker
+    from repro.serving.service import LinkageService
+
+    with warnings.catch_warnings():
+        # the parent process already surfaced any release-skew warning
+        # once; K workers repeating it is noise
+        warnings.simplefilter("ignore", UserWarning)
+        linker = load_linker(path)
+    _STATE["shard_service"] = LinkageService(linker, batch_size=batch_size)
+    meta = artifact_summary(path).get("shard") or {}
+    _STATE["shard_meta"] = meta
+    _STATE["shard_served"] = {
+        (ref[0], ref[1]) for ref in meta.get("served", [])
+    }
+
+
 def _state() -> dict:
-    state = _worker.worker_state()
+    state = _STATE
     if "shard_service" not in state:
         raise RuntimeError(
             "worker was not initialized with init_shard_worker"

@@ -37,6 +37,7 @@ from repro.shard import (
     rebalance_assignment,
     rebalance_plan,
 )
+from repro.shard import tasks as shard_tasks
 from repro.wal import capture_payload, payload_to_json
 
 PLATFORM_PAIRS = [("facebook", "twitter")]
@@ -286,6 +287,17 @@ class TestRouterReadParity:
         with pytest.raises(KeyError):
             router.score_pairs([ghost])
 
+    def test_invalid_batch_size_is_rejected_before_counting(
+        self, router, single
+    ):
+        pairs = single.candidate_pairs(single.platform_pairs()[0])[:3]
+        queries = router.stats().queries
+        with pytest.raises(ValueError):
+            router.score_pairs(pairs, batch_size=0)
+        with pytest.raises(ValueError):
+            router.score_pairs([], batch_size=0)
+        assert router.stats().queries == queries
+
     def test_score_cache_serves_repeat_top_k(self, router):
         router.top_k("facebook", "twitter", 3)
         before = router.stats().score_cache_hits
@@ -337,6 +349,10 @@ class TestRouterMutations:
 
     def test_ingest_is_deterministic_across_deployments(self, shard_blob):
         _, plan_dir, _, held, raw = shard_blob
+        # two inline routers interleave their shards' states in this
+        # process; each must run sandboxed and leave the module state alone
+        outer = shard_tasks.worker_state()
+        outer_items = dict(outer)
         with ShardedLinkageService(
             plan_dir, batch_size=64, inline=True
         ) as a, ShardedLinkageService(
@@ -348,6 +364,8 @@ class TestRouterMutations:
             pairs = a.candidate_pairs(key)
             assert pairs == b.candidate_pairs(key)
             assert np.array_equal(a.score_pairs(pairs), b.score_pairs(pairs))
+        assert shard_tasks.worker_state() is outer
+        assert outer == outer_items
 
     def test_remove_account_mirrors_single_shard(self, shard_blob):
         artifact, plan_dir, _, _, _ = shard_blob

@@ -468,14 +468,14 @@ class TestServiceWal:
         wal.close()
 
     def test_epoch_rollover_keeps_wal_open(self, fitted_blob, tmp_path):
-        # _ensure_executor retires a stale scoring pool on epoch change;
-        # that must never close the attached log mid-life
+        # an epoch bump invalidates the score caches; that must never close
+        # the attached log mid-life
         wal = WriteAheadLog(tmp_path / "wal")
-        service = _clone_service(fitted_blob, wal=wal, workers=2)
+        service = _clone_service(fitted_blob, wal=wal)
         pairs = _candidate_pairs(service)
-        service.score_pairs(pairs)  # builds the sharded pool
+        service.score_pairs(pairs)
         _arrive(fitted_blob, service, fitted_blob[3][0])  # epoch bump
-        service.score_pairs(pairs)  # retires + rebuilds the pool
+        service.score_pairs(pairs)
         assert not wal.closed
         service.close()
         assert wal.closed
