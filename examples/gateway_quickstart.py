@@ -7,7 +7,7 @@ network front-end (:mod:`repro.gateway`) through its whole repertoire:
    :class:`~repro.serving.LinkageService`;
 2. stand an HTTP gateway up on a background event-loop thread;
 3. fire **concurrent** client calls at it — the micro-batcher coalesces
-   them into grouped, array-at-a-time service dispatches whose responses
+   them into one array-at-a-time service call per flush, whose responses
    are bit-identical to standalone calls;
 4. ingest a held-out account over HTTP (the writer fence drains readers,
    the registry epoch bumps);

@@ -267,8 +267,8 @@ class HydraLinker:
         """The filled feature rows for ``pairs`` (featurize + Eqn 18 fill).
 
         Row-independent: each pair's row is bit-identical no matter which
-        other pairs share the call — the property the shard workers and
-        the gateway's grouped scoring rely on.  Featurization runs on the
+        other pairs share the call — the property the shard workers rely
+        on.  Featurization runs on the
         pipeline's batch engine (packed account store + array-at-a-time
         kernels, see :mod:`repro.features.batch`); missing dimensions
         resolve through the fitted filler, whose Eqn 18 friend-pair
@@ -280,11 +280,11 @@ class HydraLinker:
         return self._filler.fill_matrix(pairs, x_raw)
 
     def score_features(self, x: np.ndarray) -> np.ndarray:
-        """Decision values for already-featurized rows (one kernel chunk).
+        """Decision values for already-featurized rows.
 
-        The kernel Gram evaluation is chunk-shape-sensitive at the bit
-        level (BLAS summation order), so callers that promise bit-identity
-        must present the same chunk compositions as the reference path.
+        Row-stable: each row's value is bit-identical however the rows are
+        batched, ordered or chunked (see
+        :meth:`~repro.core.moo.MultiObjectiveModel.decision_function`).
         """
         if self.model_ is None:
             raise RuntimeError("linker is not fitted; call fit() first")
@@ -293,10 +293,9 @@ class HydraLinker:
     def score_pairs(self, pairs: list[Pair]) -> np.ndarray:
         """Decision values ``f(x)`` for arbitrary cross-platform pairs.
 
-        Exactly :meth:`score_features` over :meth:`featurize_pairs` — the
-        two stages are exposed separately so batched callers (the gateway's
-        coalesced dispatch) can amortize featurization across requests
-        while keeping per-request decision chunking.
+        Exactly :meth:`score_features` over :meth:`featurize_pairs`; both
+        stages are row-stable, so a pair's score never depends on the
+        other pairs in the call.
         """
         if self.model_ is None or self._filler is None:
             raise RuntimeError("linker is not fitted; call fit() first")

@@ -33,6 +33,13 @@ normalization traces and the ``F_S`` values are sparse contractions, and
 Eqn 17 multiplies only the labeled rows ``K[:Nl]``.  The fit holds three
 ``n x n`` float64 arrays at its peak - ``K``, ``A`` and LAPACK's working
 copy of ``A`` - and its one cubic step is that LU solve.
+
+Scoring is per pair, as Eqn 12 reads: ``decision_function`` evaluates
+each query row on its own through a row kernel
+(:func:`~repro.core.kernels.make_row_kernel`) - one fixed-shape gemv
+against ``x_train_``, then elementwise work and a row sum - so
+``decision_function(x)[i] == decision_function(x[[i]])[0]`` bit for bit,
+whatever other rows share the call.  Only the fit forms a Gram matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.consistency import ConsistencyBlock
-from repro.core.kernels import make_kernel
+from repro.core.kernels import RowKernelFn, make_kernel, make_row_kernel
 from repro.core.qp import QPResult, solve_box_qp
 
 __all__ = ["MooConfig", "MultiObjectiveModel"]
@@ -270,12 +277,47 @@ class MultiObjectiveModel:
         return float(np.mean(y - f_labeled))
 
     # ------------------------------------------------------------------
+    def _row_kernel(self) -> RowKernelFn:
+        """The row kernel against ``x_train_``, built once per training set.
+
+        Kept out of pickles (:meth:`__getstate__`) and keyed on the
+        ``x_train_`` object, so a refit or a loader assigning new arrays
+        rebuilds it.  Concurrent first calls may each build one; they are
+        identical, so the last write wins harmlessly.
+        """
+        cached = self.__dict__.get("_row_kernel_cache")
+        if cached is None or cached[0] is not self.x_train_:
+            cfg = self.config
+            cached = (
+                self.x_train_,
+                make_row_kernel(cfg.kernel, self.x_train_, **cfg.kernel_params),
+            )
+            self._row_kernel_cache = cached
+        return cached[1]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_row_kernel_cache", None)
+        return state
+
     def decision_function(self, x: np.ndarray) -> np.ndarray:
-        """Eqn 12: ``f(x_t) = sum alpha_ii' K(x_ii', x_t) + b``."""
+        """Eqn 12: ``f(x_t) = sum alpha_ii' K(x_ii', x_t) + b``, row by row.
+
+        Row-stable by construction: every row is decided alone, so its
+        value is bit-identical whether it is scored by itself or among any
+        other rows, in any order or chunking.
+        """
         if self.alpha_ is None or self.x_train_ is None:
             raise RuntimeError("model is not fitted; call fit() first")
-        gram = self._kernel(np.atleast_2d(np.asarray(x, dtype=float)), self.x_train_)
-        return gram @ self.alpha_ + self.bias_
+        x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
+        row_kernel = self._row_kernel()
+        out = np.empty(x.shape[0])
+        for i, row in enumerate(x):
+            k = row_kernel(row)
+            k *= self.alpha_
+            out[i] = k.sum()
+        out += self.bias_
+        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Binary linkage decision in {-1, +1}."""

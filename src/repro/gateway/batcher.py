@@ -1,18 +1,16 @@
 """Micro-batch request coalescing and the reader/writer epoch fence.
 
-The serving stack is fastest when it is fed arrays: one
-``score_pairs_grouped`` call over 64 coalesced requests featurizes their
-pairs in a handful of array-at-a-time sweeps, where 64 individual
-``score_pairs`` calls would pay the featurization fixed costs 64 times
-(see :mod:`repro.features.batch`).  :class:`MicroBatcher` converts
-concurrent per-request traffic into exactly that shape: score requests
-accumulate in a pending window and flush as **one** batched service call
-when the window fills (``max_batch_pairs`` pairs or ``max_batch_requests``
-requests) or ages out (``max_wait_ms`` after the first request arrived) —
-whichever comes first.  Because
-:meth:`~repro.serving.service.LinkageService.score_pairs_grouped` chunks
-each group's kernel decision exactly as a standalone call would, a
-response is **bit-identical** whether or not the request was coalesced.
+The serving stack is fastest when it is fed arrays: one ``score_pairs``
+call over 64 coalesced requests featurizes their pairs in a handful of
+array-at-a-time sweeps, where 64 individual calls would pay the
+featurization fixed costs 64 times (see :mod:`repro.features.batch`).
+:class:`MicroBatcher` converts concurrent per-request traffic into exactly
+that shape: score requests accumulate in a pending window and flush as
+**one** batched service call when the window fills (``max_batch_pairs``
+pairs or ``max_batch_requests`` requests) or ages out (``max_wait_ms``
+after the first request arrived) — whichever comes first.  Because
+featurization and the decision function are both row-stable, a response
+is **bit-identical** whether or not the request was coalesced.
 
 Flushes are serialized: while one batch executes, newcomers accumulate in
 the next window, so load adaptively deepens batches instead of piling up
@@ -104,9 +102,9 @@ class MicroBatcher:
     ----------
     dispatch:
         ``async (groups: list[list[pair]]) -> (results, epoch)`` — provided
-        by the server; acquires the read fence and runs
-        ``score_pairs_grouped`` on the scoring executor.  ``results`` must
-        align with ``groups``.
+        by the server; acquires the read fence and runs one
+        ``score_pairs`` call over the concatenated groups on the scoring
+        executor.  ``results`` must align with ``groups``.
     max_batch_pairs:
         Flush as soon as the pending window holds this many pairs.
     max_batch_requests:

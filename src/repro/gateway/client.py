@@ -162,14 +162,11 @@ class GatewayClient:
         self,
         pairs: list,
         *,
-        batch_size: int | None = None,
         deadline_ms: float | None = None,
         min_epoch: int | None = None,
     ) -> dict:
         """``POST /score_pairs`` — decision values for a pair batch."""
-        body: dict = {"pairs": [[list(a), list(b)] for a, b in pairs]}
-        if batch_size is not None:
-            body["batch_size"] = batch_size
+        body = {"pairs": [[list(a), list(b)] for a, b in pairs]}
         return self._request(
             "POST", "/score_pairs", body,
             deadline_ms=deadline_ms, min_epoch=min_epoch,

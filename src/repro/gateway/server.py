@@ -46,8 +46,9 @@ Concurrency model — reads coalesce, writes fence:
 
 * ``/score_pairs`` traffic flows through the :class:`MicroBatcher`; a
   flush acquires the :class:`ReadWriteFence` as a *reader* and runs one
-  ``score_pairs_grouped`` call on the executor.  Responses are
-  bit-identical to uncoalesced calls (see :mod:`repro.gateway.batcher`).
+  ``score_pairs`` call over the concatenated requests on the executor,
+  then slices the scores per request.  Scoring is row-stable, so
+  responses are bit-identical to uncoalesced calls.
 * ``/top_k`` and ``/link_account`` are individual reader dispatches.
 * ``/ingest`` and ``DELETE /account`` acquire the fence as the *writer*:
   in-flight readers drain, the mutation runs alone, the registry epoch
@@ -259,12 +260,22 @@ class LinkageGateway:
         )
 
     async def _dispatch_groups(self, groups):
-        """Batcher callback: score coalesced groups under the read fence."""
+        """Batcher callback: score coalesced groups under the read fence.
+
+        One ``score_pairs`` call over the concatenated groups (one service
+        query per flush), sliced back per group; scores are row-stable, so
+        each slice is the bytes the group would get scored alone.
+        """
         async with self._fence.read():
             epoch = self.service.registry_epoch
-            results = await self._run_scoring(
-                self.service.score_pairs_grouped, groups
+            scores = await self._run_scoring(
+                self.service.score_pairs,
+                [pair for group in groups for pair in group],
             )
+        results, lo = [], 0
+        for group in groups:
+            results.append(scores[lo : lo + len(group)])
+            lo += len(group)
         return results, epoch
 
     async def _read_call(self, ticket, fn, *args, min_epoch=None):
@@ -378,42 +389,24 @@ class LinkageGateway:
     # ------------------------------------------------------------------
     async def _handle_score_pairs(self, body, query, ticket):
         pairs = _parse_pairs(_require(body, "pairs"))
-        batch_size = body.get("batch_size")
-        if batch_size is not None and (
-            not isinstance(batch_size, int) or batch_size < 1
-        ):
-            raise _BadRequest(f"batch_size must be a positive int, got "
-                              f"{batch_size!r}")
         min_epoch = _opt_int_query(query, "min_epoch")
         forwarded = await self._forward_read(
-            "score_pairs",
-            {"pairs": pairs, "batch_size": batch_size,
-             "min_epoch": min_epoch},
-            min_epoch,
+            "score_pairs", {"pairs": pairs, "min_epoch": min_epoch}, min_epoch
         )
         if forwarded is not None:
             return 200, forwarded
-        if batch_size is None and min_epoch is not None:
+        if min_epoch is not None:
             # a freshness floor cannot ride a coalesced dispatch (the
             # flush snapshots one epoch for the whole group); run alone —
-            # chunking is identical, so the scores are the same bytes
+            # scoring is row-stable, so the scores are the same bytes
             scores, epoch = await self._read_call(
                 ticket,
                 lambda: self.service.score_pairs(pairs),
                 min_epoch=min_epoch,
             )
-        elif batch_size is None:
+        else:
             scores, epoch = await self._batcher.submit(
                 pairs, guard=lambda: self._admission.check_deadline(ticket)
-            )
-        else:
-            # a custom batch size changes the chunk composition, so it can
-            # never share a coalesced dispatch; run it alone
-            scores, epoch = await self._read_call(
-                ticket,
-                lambda: self.service.score_pairs(pairs,
-                                                 batch_size=batch_size),
-                min_epoch=min_epoch,
             )
         return 200, self._shard_marker({
             # NaN marks a pair whose owner shard is down; JSON says null
@@ -455,15 +448,9 @@ class LinkageGateway:
         platform = _require(body, "platform")
         account_id = _require(body, "account_id")
         other = body.get("other_platform")
-        top = body.get("top", 5)
-        if not isinstance(top, int):
-            raise _BadRequest(f"top must be an int, got {top!r}")
-        exact = body.get("exact", True)
-        if not isinstance(exact, bool):
-            raise _BadRequest(f"exact must be a bool, got {exact!r}")
-        budget = body.get("budget")
-        if budget is not None and not isinstance(budget, int):
-            raise _BadRequest(f"budget must be an int, got {budget!r}")
+        top = _body_int(body, "top", 5)
+        exact = _body_bool(body, "exact", True)
+        budget = _body_int(body, "budget", None)
         min_epoch = _opt_int_query(query, "min_epoch")
         forwarded = await self._forward_read(
             "link_account",
@@ -499,7 +486,7 @@ class LinkageGateway:
     async def _handle_ingest(self, body, query, ticket):
         self._reject_follower_write()
         refs = [_parse_ref(ref) for ref in _require(body, "refs")]
-        score = body.get("score", True)
+        score = _body_bool(body, "score", True)
         raw_accounts = body.get("accounts", [])
         if not isinstance(raw_accounts, list):
             raise _BadRequest("accounts must be a list of account payloads")
@@ -525,7 +512,7 @@ class LinkageGateway:
 
             def mutate():
                 return self.service.ingest_payloads(
-                    refs, raw_accounts, score=bool(score)
+                    refs, raw_accounts, score=score
                 )
 
         else:
@@ -534,7 +521,7 @@ class LinkageGateway:
                 service = self.service
                 for payload in payloads:
                     apply_payload(service.world, payload)
-                return service.add_accounts(refs, score=bool(score))
+                return service.add_accounts(refs, score=score)
 
         report, epoch = await self._write_call(mutate)
         return 200, {
@@ -555,12 +542,8 @@ class LinkageGateway:
                      "epoch": epoch}
 
     def _load_standby(self, artifact: str) -> LinkageService:
-        """Load a refit artifact as a standby service with the live
-        service's ``batch_size`` (a swap changes the model, not chunking)."""
-        live = self.service
-        return LinkageService(
-            type(live.linker).load(artifact), batch_size=live.batch_size
-        )
+        """Load a refit artifact as a standby service."""
+        return LinkageService(type(self.service.linker).load(artifact))
 
     async def _handle_swap(self, body, query, ticket):
         """Blue/green cutover: catch a refit artifact up, then switch.
@@ -582,9 +565,7 @@ class LinkageGateway:
         artifact = _require(body, "artifact")
         if not isinstance(artifact, str) or not artifact:
             raise _BadRequest(f"artifact must be a path, got {artifact!r}")
-        since = body.get("since_epoch")
-        if since is not None and not isinstance(since, int):
-            raise _BadRequest(f"since_epoch must be an int, got {since!r}")
+        since = _body_int(body, "since_epoch", None)
         if self._swap_lock.locked():
             raise _Conflict("another swap is already in progress")
         async with self._swap_lock:
@@ -946,6 +927,28 @@ def _require(body: dict, key: str):
     if key not in body:
         raise _BadRequest(f"missing required field {key!r}")
     return body[key]
+
+
+def _body_int(body: dict, key: str, default: int | None) -> int | None:
+    """A JSON integer field (``null`` allowed when the default is ``None``).
+
+    JSON booleans are rejected: Python's ``bool`` is an ``int``, so
+    without the check ``true`` would silently mean ``1``.
+    """
+    value = body.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _BadRequest(f"{key} must be an int, got {value!r}")
+    return value
+
+
+def _body_bool(body: dict, key: str, default: bool) -> bool:
+    """An optional JSON boolean field (``"false"`` is a string, not a bool)."""
+    value = body.get(key, default)
+    if not isinstance(value, bool):
+        raise _BadRequest(f"{key} must be a bool, got {value!r}")
+    return value
 
 
 def _require_query(query: dict, key: str) -> str:

@@ -521,7 +521,7 @@ def load_scoring_head(path) -> dict:
     scorer is the fit-time Nyström landmark state when the head carries
     one); ``model.decision_function(x)`` reproduces the
     source linker's ``score_features`` bit for bit on identical feature
-    rows (same chunk shapes, same operands).
+    rows, however they are chunked (the decision function is row-stable).
     """
     path = Path(path)
     manifest_path = path / _HEAD_MANIFEST

@@ -6,7 +6,7 @@ and keeps it current by replaying the WAL's effective mutations through
 the exact machinery crash recovery uses
 (:func:`repro.wal.recovery.replay_records`).  Because replay applies the
 very account payloads the primary logged, adopts the logged epochs, and
-the follower scores with the same batch chunking, every read —
+scoring is row-stable, every read —
 ``score_pairs``, ``top_k``, ``link_account``, exact or approximate — is
 **bit-identical to the primary at the same registry epoch**.
 
@@ -109,9 +109,6 @@ class FollowerService:
     poll:
         When True (default), catch up with the log once during
         construction.
-    service_kwargs:
-        Forwarded to :meth:`LinkageService.from_artifact` — must match
-        the primary's (notably ``batch_size``) for bit-identical reads.
     """
 
     is_follower = True
@@ -124,7 +121,6 @@ class FollowerService:
         state_dir=None,
         checkpoint_every: int | None = None,
         poll: bool = True,
-        **service_kwargs,
     ):
         self.artifact = Path(artifact)
         self.wal_dir = Path(wal_dir)
@@ -136,7 +132,6 @@ class FollowerService:
         if checkpoint_every is not None and self.state_dir is None:
             raise ValueError("checkpoint_every requires a state_dir")
         self.checkpoint_every = checkpoint_every
-        self._service_kwargs = dict(service_kwargs)
         self._lock = threading.RLock()
         self._pending: list[WalRecord] = []
         self._head_failures = 0
@@ -167,9 +162,7 @@ class FollowerService:
             self._resumed = True
             return resumed
         self._tailer.seek(WalCursor())
-        return LinkageService.from_artifact(
-            self.artifact, **self._service_kwargs
-        )
+        return LinkageService.from_artifact(self.artifact)
 
     def _try_resume(self) -> LinkageService | None:
         """Load the checkpoint named by a valid manifest, else None."""
@@ -186,9 +179,7 @@ class FollowerService:
                 offset=int(manifest["cursor"]["offset"]),
             )
             expected = int(manifest["checkpoint_epoch"])
-            service = LinkageService.from_artifact(
-                checkpoint, **self._service_kwargs
-            )
+            service = LinkageService.from_artifact(checkpoint)
         except Exception:
             return None
         if service.registry_epoch != expected:
@@ -297,9 +288,7 @@ class FollowerService:
 
     def _resync(self) -> int:
         """Rebuild from the source artifact + one atomic full tail read."""
-        fresh = LinkageService.from_artifact(
-            self.artifact, **self._service_kwargs
-        )
+        fresh = LinkageService.from_artifact(self.artifact)
         if self.wal_dir.is_dir():
             batch = tail_read(self.wal_dir, WalCursor())
             effective, _ = _cancel_aborts(batch.records, -1)
@@ -374,11 +363,8 @@ class FollowerService:
     def candidate_pairs(self, key):
         return self._inner.candidate_pairs(key)
 
-    def score_pairs(self, pairs, **kwargs):
-        return self._inner.score_pairs(pairs, **kwargs)
-
-    def score_pairs_grouped(self, groups, **kwargs):
-        return self._inner.score_pairs_grouped(groups, **kwargs)
+    def score_pairs(self, pairs):
+        return self._inner.score_pairs(pairs)
 
     def top_k(self, platform_a, platform_b, k=10, **kwargs):
         return self._inner.top_k(platform_a, platform_b, k, **kwargs)

@@ -5,8 +5,8 @@
 serves three query shapes:
 
 * :meth:`LinkageService.score_pairs` — decision values for arbitrary pair
-  batches, featurized in fixed-size batches so memory stays bounded while
-  each kernel evaluation is vectorized;
+  batches, featurized :data:`SCORE_CHUNK` pairs at a time so memory stays
+  bounded;
 * :meth:`LinkageService.link_account` — resolve one account against every
   indexed candidate on the other platforms (the "who is this user
   elsewhere?" query);
@@ -20,16 +20,16 @@ behavior summaries.  :meth:`LinkageService.stats` exposes the running
 counters (queries, pairs scored, cache hit/miss rates) for capacity
 monitoring.
 
-Every scoring path composes two chunked loops: a featurize loop on the
-pipeline's batch engine (see :mod:`repro.features.batch`), whose rows are
-row-independent, and a decision loop that runs the kernel over fixed
-``batch_size`` chunks of those rows.  The kernel's Gram products are
-chunk-shape-sensitive at the bit level, so sharing the one decision loop
-is what keeps :meth:`LinkageService.score_pairs`,
-:meth:`LinkageService.score_pairs_grouped`, the score-cache fill and the
-approximate path's exact rescore byte-identical to one another.  The
-service runs in the calling process; multi-process serving is the shard
-tier's job (:mod:`repro.shard`).
+Every scoring path is featurize-then-decide, and both halves are
+row-stable: the pipeline's batch engine (see :mod:`repro.features.batch`)
+featurizes each pair independently of its co-batched pairs, and the
+model's decision function scores each row on its own
+(:mod:`repro.core.moo`).  A pair's score is therefore the same bytes
+whichever call, chunk or request batch it arrives in, so
+:meth:`LinkageService.score_pairs`, the score-cache fill and the
+approximate path's exact short-list scores agree byte for byte with no
+chunking discipline.  The service runs in the calling process;
+multi-process serving is the shard tier's job (:mod:`repro.shard`).
 
 The service is *mutable* at serve time: :meth:`LinkageService.add_accounts`
 absorbs accounts that arrived after the fit (frozen models, O(new)
@@ -55,6 +55,7 @@ from repro.utils.ranking import top_k_indices
 
 __all__ = [
     "SCORE_CACHE_SIZE",
+    "SCORE_CHUNK",
     "SUMMARY_CACHE_SIZE",
     "IngestReport",
     "LinkageService",
@@ -70,6 +71,9 @@ SUMMARY_CACHE_SIZE = 4096
 #: Capacity of the per-platform-pair candidate-score LRU; keeps the
 #: memoized score arrays bounded when a service handles many platform pairs.
 SCORE_CACHE_SIZE = 64
+#: Pairs featurized per step of a scoring call.  It bounds the featurizer's
+#: working set only: scores are row-stable, so it never changes a byte.
+SCORE_CHUNK = 256
 
 
 class LruCache:
@@ -190,11 +194,10 @@ class IngestReport:
 class ServiceStats:
     """Running counters of one service instance.
 
-    The workload block: ``queries`` counts served calls (a grouped call
-    counts one per group), ``pairs_scored`` / ``batches`` the pairs and
-    ``batch_size`` chunks those calls scored, and the ``*_cache_*``
-    counters the summary and score LRUs' hits, misses and entries.
-    Internal cache fills are not workload.
+    The workload block: ``queries`` counts served calls, ``pairs_scored`` /
+    ``batches`` the pairs and :data:`SCORE_CHUNK` chunks those calls
+    scored, and the ``*_cache_*`` counters the summary and score LRUs'
+    hits, misses and entries.  Internal cache fills are not workload.
 
     The ingestion block: ``registry_epoch`` is the served registry's
     mutation epoch (0 = pristine fit state), and ``accounts_ingested`` /
@@ -252,8 +255,6 @@ class LinkageService:
     ----------
     linker:
         A fitted :class:`~repro.core.hydra.HydraLinker`.
-    batch_size:
-        Featurization and kernel chunk size for :meth:`score_pairs`.
     wal:
         An open :class:`~repro.wal.log.WriteAheadLog`.  When attached,
         every mutation (:meth:`add_accounts` / :meth:`remove_account`)
@@ -276,15 +277,11 @@ class LinkageService:
         self,
         linker: HydraLinker,
         *,
-        batch_size: int = 256,
         wal=None,
     ):
         if linker.model_ is None or linker._filler is None:
             raise RuntimeError("linker is not fitted; fit() or load() first")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.linker = linker
-        self.batch_size = batch_size
         self._wal = wal
         self._registry = None  # lazy ServingRegistry, built on first mutation
         # workload counters are touched by every reader; the gateway runs
@@ -350,89 +347,27 @@ class LinkageService:
             raise KeyError(f"platform pair {key} was not fitted")
         return list(self._index[key].pairs)
 
-    def _batch(self, batch_size: int | None) -> int:
-        """The effective chunk size of one scoring call, validated."""
-        batch = batch_size if batch_size is not None else self.batch_size
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
-        return batch
-
-    def score_pairs(
-        self, pairs: list[Pair], *, batch_size: int | None = None
-    ) -> np.ndarray:
+    def score_pairs(self, pairs: list[Pair]) -> np.ndarray:
         """Decision values for arbitrary pairs, scored chunk by chunk."""
-        batch = self._batch(batch_size)
         with self._stats_lock:
             self._queries += 1
         if not pairs:
             return np.zeros(0)
-        out = self._score(pairs, batch)
+        out = self._score(pairs)
         with self._stats_lock:
             self._pairs_scored += len(pairs)
-            self._batches += -(-len(pairs) // batch)  # ceil division
+            self._batches += -(-len(pairs) // SCORE_CHUNK)  # ceil division
         return out
 
-    def score_pairs_grouped(
-        self, groups: list[list[Pair]], *, batch_size: int | None = None
-    ) -> list[np.ndarray]:
-        """Score several independent pair batches in one featurization sweep.
-
-        The coalescing entry point for the gateway's micro-batcher
-        (:mod:`repro.gateway.batcher`): concurrent ``score_pairs`` requests
-        are concatenated and featurized array-at-a-time, amortizing the
-        per-call featurization fixed costs — featurization is
-        row-independent, so every row is bit-identical to featurizing its
-        group alone.  Each group's kernel decision then runs over that
-        group's rows with exactly the chunk composition a standalone
-        :meth:`score_pairs` call would use, so every group's scores are
-        **bit-identical** to scoring that group alone.  Each group counts
-        as one query.
-        """
-        batch = self._batch(batch_size)
-        with self._stats_lock:
-            self._queries += len(groups)
-        total = sum(len(group) for group in groups)
-        if total == 0:
-            return [np.zeros(0) for _ in groups]
-        x = self._featurize_chunked(
-            [pair for group in groups for pair in group], batch
-        )
-        out: list[np.ndarray] = []
-        offset = 0
-        for group in groups:
-            out.append(self._decide_chunked(x[offset : offset + len(group)], batch))
-            offset += len(group)
-        with self._stats_lock:
-            self._pairs_scored += total
-            self._batches += -(-total // batch)  # ceil division
-        return out
-
-    def _featurize_chunked(self, pairs: list[Pair], batch: int) -> np.ndarray:
-        """Exact float64 feature rows, featurized ``batch`` pairs at a time.
-
-        Featurized rows are row-independent (bit-identical regardless of
-        co-batched pairs), so these rows can be sliced, regrouped and
-        decided in any subset without breaking the exactness contract;
-        the chunking only bounds the featurizer's working set.
-        """
+    def _featurize_chunked(self, pairs: list[Pair]) -> np.ndarray:
+        """Exact float64 feature rows, featurized :data:`SCORE_CHUNK` pairs
+        at a time (the chunking bounds the featurizer's working set)."""
         return np.vstack([
-            self.linker.featurize_pairs(pairs[lo : lo + batch])
-            for lo in range(0, len(pairs), batch)
+            self.linker.featurize_pairs(pairs[lo : lo + SCORE_CHUNK])
+            for lo in range(0, len(pairs), SCORE_CHUNK)
         ])
 
-    def _decide_chunked(self, x: np.ndarray, batch: int) -> np.ndarray:
-        """Exact float64 decision values for featurized rows.
-
-        The one decision loop: the kernel runs over consecutive ``batch``
-        row chunks, so deciding a pair list's rows yields the bytes every
-        other scoring path yields for the same list.
-        """
-        out = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], batch):
-            out[lo : lo + batch] = self.linker.score_features(x[lo : lo + batch])
-        return out
-
-    def _score(self, pairs: list[Pair], batch: int) -> np.ndarray:
+    def _score(self, pairs: list[Pair]) -> np.ndarray:
         """Chunked scoring through the linker; counters stay untouched so
         internal cache fills don't masquerade as workload.
 
@@ -440,9 +375,9 @@ class LinkageService:
         cache fill over a whole candidate set holds one chunk of feature
         rows at a time, not the set's full matrix."""
         out = np.empty(len(pairs))
-        for lo in range(0, len(pairs), batch):
-            x = self._featurize_chunked(pairs[lo : lo + batch], batch)
-            out[lo : lo + len(x)] = self._decide_chunked(x, batch)
+        for lo in range(0, len(pairs), SCORE_CHUNK):
+            chunk = pairs[lo : lo + SCORE_CHUNK]
+            out[lo : lo + len(chunk)] = self.linker.score_pairs(chunk)
         return out
 
     def close(self) -> None:
@@ -655,7 +590,7 @@ class LinkageService:
         for key, key_pairs in by_key.items():
             cand = self.linker.candidates_[key]
             row_of = cand.pair_index()
-            scores = self._score(key_pairs, self.batch_size)
+            scores = self._score(key_pairs)
             distances = self.behavior_distances(key_pairs)
             for pair, score, distance in zip(key_pairs, scores, distances):
                 links.append(
@@ -855,7 +790,7 @@ class LinkageService:
         hit/miss counts are tracked separately in :class:`ServiceStats`).
         """
         return self._score_cache.get_or_compute(
-            key, lambda: self._score(self._index[key].pairs, self.batch_size)
+            key, lambda: self._score(self._index[key].pairs)
         )
 
     # ------------------------------------------------------------------
@@ -895,31 +830,28 @@ class LinkageService:
         """The two-layer approximate ranking over pruned candidates.
 
         Layer 2 of the fast path: featurize the pruned pool once (exact
-        float64 rows), rank it with the float32 landmark scorer, exactly
-        rescore a ``rescore_multiple * k`` short list to place the cutoff,
-        then rescore the **final** ``k`` rows once more so the returned
-        bytes match ``score_pairs`` on exactly those pairs (kernel chunks
-        are shape-sensitive, so the short-list rescore cannot be reused
-        for the returned values).  Never touches the exact score cache.
+        float64 rows), rank it with the float32 landmark scorer, and
+        exactly rescore a ``rescore_multiple * k`` short list to place the
+        cutoff.  The short list's exact scores are the returned values: the
+        decision function is row-stable, so they are the bytes
+        ``score_pairs`` gives for the same pairs.  Never touches the exact
+        score cache.
         """
         if not items or k == 0:
             return [], np.zeros(0)
         pairs = [self._index[key].pairs[row] for key, row, _ in items]
-        x = self._featurize_chunked(pairs, self.batch_size)
+        x = self._featurize_chunked(pairs)
         fast = self._fast_scorer().score(x)
         shortlist = top_k_indices(
             fast, min(len(items), k * self.approx.rescore_multiple)
         )
-        mid = self._decide_chunked(x[shortlist], self.batch_size)
-        keep = top_k_indices(mid, k)
-        final = shortlist[keep]
-        final_scores = self._decide_chunked(x[final], self.batch_size)
-        order = top_k_indices(final_scores, final_scores.shape[0])
+        mid = self.linker.score_features(x[shortlist])
+        keep = top_k_indices(mid, k)  # already in ranked order
         with self._stats_lock:
             self._approx_queries += 1
             self._approx_pairs_scored += len(items)
-        chosen = [items[int(final[int(i)])] for i in order]
-        return chosen, final_scores[order]
+        chosen = [items[int(row)] for row in shortlist[keep]]
+        return chosen, mid[keep]
 
     def _scored_links(
         self,

@@ -7,17 +7,15 @@ processes — the gateway (:mod:`repro.gateway`) cannot tell the two apart.
 
 **Bit-parity by construction.**  Feature rows are row-independent, so each
 shard featurizes its slice of a request bit-identically to a single-process
-deployment; kernel Gram products are *chunk-shape-sensitive*, so the router
-reassembles the rows in request order and scores them itself through the
-plan's scoring head (:func:`repro.persist.load_scoring_head`) in exactly
-the ``batch_size`` chunk composition the single-shard service would use
-(:meth:`repro.serving.LinkageService.score_pairs` /
-:meth:`~repro.serving.LinkageService.score_pairs_grouped`).  Same rows,
-same chunks, same operands — same bytes.
+deployment; the router reassembles the rows in request order and scores
+them with one call into the plan's scoring head
+(:func:`repro.persist.load_scoring_head`), whose decision function is
+row-stable.  Same rows, same operands — the bytes
+:meth:`repro.serving.LinkageService.score_pairs` returns.
 
 **Degraded reads.**  A shard failure (dead pool, timeout) marks the shard
-down; its rows stay NaN in the assembled matrix, which keeps the chunk
-*shapes* — and therefore the healthy rows' bits — unchanged.  NaN scores
+down; its rows stay NaN in the assembled matrix and score as NaN, and the
+healthy rows' bits are unchanged (each row is decided alone).  NaN scores
 sort last and are dropped from ``top_k`` / ``link_account`` results, the
 response carries a ``shards_unavailable`` marker, and degraded score
 arrays are never cached.  Writes routed to a down *owner* shard are
@@ -45,6 +43,7 @@ from repro.approx import ApproxConfig, FastScorer, prune_rows
 from repro.persist import load_scoring_head
 from repro.serving.service import (
     SCORE_CACHE_SIZE,
+    SCORE_CHUNK,
     IngestReport,
     LruCache,
     ScoredLink,
@@ -68,8 +67,8 @@ def default_mp_context():
 
     Forked shard workers start without re-importing the package.
     Platforms without ``fork`` (Windows, and macOS defaults) use their own
-    default, for which the initializer arguments — a path and a batch
-    size — pickle trivially.
+    default, for which the initializer argument — a path — pickles
+    trivially.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -156,18 +155,14 @@ class ShardedLinkageService:
     """Serve linkage queries by scatter-gather over K shard workers.
 
     Implements the :class:`~repro.serving.LinkageService` query/mutation
-    interface (``score_pairs``, ``score_pairs_grouped``, ``top_k``,
-    ``link_account``, ``ingest_payloads``, ``remove_account``, ``stats``,
-    ``candidate_pairs`` …) so :class:`repro.gateway.LinkageGateway` serves
-    it unchanged.
+    interface (``score_pairs``, ``top_k``, ``link_account``,
+    ``ingest_payloads``, ``remove_account``, ``stats``, ``candidate_pairs``
+    …) so :class:`repro.gateway.LinkageGateway` serves it unchanged.
 
     Parameters
     ----------
     plan:
         A plan directory path or a loaded :class:`ShardTopology`.
-    batch_size:
-        Kernel chunk size for head scoring — must match the single-shard
-        deployment being compared against for bit-parity.
     inline:
         Run every shard in-process (sandboxed via
         :func:`repro.shard.tasks.swap_state`) instead of spawning
@@ -192,17 +187,13 @@ class ShardedLinkageService:
         self,
         plan,
         *,
-        batch_size: int = 256,
         inline: bool = False,
         request_timeout: float = 600.0,
     ):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         topology = (
             plan if isinstance(plan, ShardTopology) else load_shard_plan(plan)
         )
         self.topology = topology
-        self.batch_size = batch_size
         self.inline = inline
         self.request_timeout = request_timeout
         head = load_scoring_head(topology.head_path)
@@ -258,7 +249,7 @@ class ShardedLinkageService:
             state: dict = {}
             previous = _tasks.swap_state(state)
             try:
-                _tasks.init_shard_worker(handle.path, self.batch_size)
+                _tasks.init_shard_worker(handle.path)
             finally:
                 _tasks.swap_state(previous)
             handle.inline_state = state
@@ -266,7 +257,7 @@ class ShardedLinkageService:
             handle.pool = ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_tasks.init_shard_worker,
-                initargs=(handle.path, self.batch_size),
+                initargs=(handle.path,),
                 mp_context=default_mp_context(),
             )
         health = self._submit(handle, _tasks.shard_health).result(
@@ -464,80 +455,27 @@ class ShardedLinkageService:
             x[rows] = block
         return x, sorted(down)
 
-    def _score_rows(self, x: np.ndarray, batch: int) -> np.ndarray:
-        """Head scoring with the canonical single-shard chunk composition."""
-        out = np.empty(len(x))
-        for lo in range(0, len(x), batch):
-            chunk = x[lo : lo + batch]
-            out[lo : lo + len(chunk)] = self._model.decision_function(chunk)
-        return out
-
     def _normalize(self, pairs) -> list[Pair]:
         return [
             ((pair[0][0], pair[0][1]), (pair[1][0], pair[1][1]))
             for pair in pairs
         ]
 
-    def score_pairs(
-        self, pairs: list[Pair], *, batch_size: int | None = None
-    ) -> np.ndarray:
+    def score_pairs(self, pairs: list[Pair]) -> np.ndarray:
         """Decision values in request order; NaN for pairs on down shards."""
-        batch = batch_size if batch_size is not None else self.batch_size
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
         with self._stats_lock:
             self._queries += 1
         if not pairs:
             return np.zeros(0)
         pairs = self._normalize(pairs)
         x, down = self._featurize(pairs)
-        scores = self._score_rows(x, batch)
+        scores = self._model.decision_function(x)
         with self._stats_lock:
             self._pairs_scored += len(pairs)
-            self._batches += -(-len(pairs) // batch)
+            self._batches += -(-len(pairs) // SCORE_CHUNK)
             if down:
                 self._degraded_queries += 1
         return scores
-
-    def score_pairs_grouped(
-        self, groups: list[list[Pair]], *, batch_size: int | None = None
-    ) -> list[np.ndarray]:
-        """Coalesced scoring for the gateway micro-batcher.
-
-        One scatter featurizes every group's pairs; each group's rows are
-        then head-scored with exactly the chunk composition a standalone
-        ``score_pairs`` call would use, mirroring
-        :meth:`repro.serving.LinkageService.score_pairs_grouped` — so
-        coalescing never changes a group's bytes.
-        """
-        batch = batch_size if batch_size is not None else self.batch_size
-        if batch < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch}")
-        with self._stats_lock:
-            self._queries += len(groups)
-        groups = [self._normalize(group) for group in groups]
-        total = sum(len(group) for group in groups)
-        if total == 0:
-            return [np.zeros(0) for _ in groups]
-        all_pairs = [pair for group in groups for pair in group]
-        x, down = self._featurize(all_pairs)
-        out: list[np.ndarray] = []
-        offset = 0
-        for group in groups:
-            scores = np.empty(len(group))
-            for lo in range(0, len(group), batch):
-                hi = min(lo + batch, len(group))
-                scores[lo:hi] = self._model.decision_function(
-                    x[offset + lo : offset + hi]
-                )
-            out.append(scores)
-            offset += len(group)
-        with self._stats_lock:
-            self._pairs_scored += total
-            self._batches += -(-total // batch)
-            if down:
-                self._degraded_queries += 1
-        return out
 
     def _cached_scores(self, key: tuple[str, str]) -> np.ndarray:
         """Per-key candidate scores via the LRU; degraded fills not cached."""
@@ -545,7 +483,7 @@ class ShardedLinkageService:
         def compute():
             pairs = [entry.pair for entry in self._entries[key]]
             x, down = self._featurize(pairs)
-            return self._score_rows(x, self.batch_size), bool(down)
+            return self._model.decision_function(x), bool(down)
 
         scores, degraded = self._score_cache.get_or_compute(key, compute)
         if degraded:
@@ -648,10 +586,10 @@ class ShardedLinkageService:
 
         Mirrors the single-process service: one scatter featurizes the
         pruned pool (rows stay bit-identical — row independence), the
-        float32 landmark scorer ranks it, a ``rescore_multiple * k`` short
-        list is head-rescored exactly to place the cutoff, and the final
-        rows are rescored once more so returned bytes equal
-        ``score_pairs`` on exactly those pairs.  Degraded rows (down
+        float32 landmark scorer ranks it, and a ``rescore_multiple * k``
+        short list is head-scored exactly to place the cutoff; those exact
+        scores are returned (the head is row-stable, so they equal
+        ``score_pairs`` on the same pairs).  Degraded rows (down
         shards) carry NaN through the fast scorer, sort last, and are
         omitted — the same contract as the exact path.  Results never
         enter the exact score cache.
@@ -664,11 +602,8 @@ class ShardedLinkageService:
         shortlist = top_k_indices(
             fast, min(len(items), k * self.approx.rescore_multiple)
         )
-        mid = self._score_rows(x[shortlist], self.batch_size)
-        keep = top_k_indices(mid, k)
-        final = shortlist[keep]
-        final_scores = self._score_rows(x[final], self.batch_size)
-        order = top_k_indices(final_scores, final_scores.shape[0])
+        mid = self._model.decision_function(x[shortlist])
+        keep = top_k_indices(mid, k)  # ranked order, NaN last
         with self._stats_lock:
             self._approx_queries += 1
             self._approx_pairs_scored += len(items)
@@ -676,11 +611,10 @@ class ShardedLinkageService:
                 self._degraded_queries += 1
         chosen: list[tuple[tuple[str, str], int, bool]] = []
         scores: list[float] = []
-        for position in order:
-            score = final_scores[int(position)]
+        for row, score in zip(shortlist[keep], mid[keep]):
             if np.isnan(score):
                 continue
-            chosen.append(items[int(final[int(position)])])
+            chosen.append(items[int(row)])
             scores.append(float(score))
         return self._assemble_links(chosen, scores)
 
@@ -980,7 +914,7 @@ class ShardedLinkageService:
         for key, entries in by_key.items():
             pairs = [entry.pair for entry in entries]
             x, _down = self._featurize(pairs)
-            scores = self._score_rows(x, self.batch_size)
+            scores = self._model.decision_function(x)
             distances = self._distances(pairs)
             for entry, score, distance in zip(entries, scores, distances):
                 links.append(

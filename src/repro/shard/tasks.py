@@ -12,11 +12,9 @@ its own sandboxed dict.
 
 The scatter-gather split: workers **featurize** (row-independent, so a
 shard's rows are bit-identical to the single-process rows), the router
-**scores** the reassembled matrix through the shared scoring head with the
-canonical chunk composition.  Workers never run the kernel for router
-queries — kernel Gram products are chunk-shape-sensitive at the bit level,
-and only the router sees the full request to chunk it the way a
-single-shard service would.
+**scores** the reassembled matrix through the shared scoring head, whose
+decision function is row-stable, so the bytes match the single-process
+service's.
 
 Mutations apply on every shard that holds affected state: the *owner*
 shard runs the full ingestion path (registry blocking, candidate
@@ -50,9 +48,9 @@ __all__ = [
 AccountRef = tuple[str, str]
 Pair = tuple[AccountRef, AccountRef]
 
-# featurization is row-independent, so unlike head scoring its chunk size
-# never shows up in the output bits — chunks exist purely to bound worker
-# memory, and small scoring-sized chunks would waste time on vstack copies
+# featurization is row-independent, so the chunk size never shows up in
+# the output bits — chunks exist purely to bound worker memory, and small
+# chunks would waste time on vstack copies
 FEATURIZE_CHUNK = 4096
 
 
@@ -86,7 +84,7 @@ def worker_state() -> dict:
     return _STATE
 
 
-def init_shard_worker(path: str, batch_size: int = 256) -> None:
+def init_shard_worker(path: str) -> None:
     """Load one shard artifact and stand up its serving state.
 
     The router initializes each per-shard worker process with this
@@ -105,7 +103,7 @@ def init_shard_worker(path: str, batch_size: int = 256) -> None:
         # once; K workers repeating it is noise
         warnings.simplefilter("ignore", UserWarning)
         linker = load_linker(path)
-    _STATE["shard_service"] = LinkageService(linker, batch_size=batch_size)
+    _STATE["shard_service"] = LinkageService(linker)
     meta = artifact_summary(path).get("shard") or {}
     _STATE["shard_meta"] = meta
     _STATE["shard_served"] = {
@@ -157,11 +155,10 @@ def shard_featurize(
                     f"{state['shard_meta'].get('index')}"
                 )
     linker = service.linker
-    batch = max(service.batch_size, FEATURIZE_CHUNK)
     return np.vstack(
         [
-            linker.featurize_pairs(pairs[lo : lo + batch])
-            for lo in range(0, len(pairs), batch)
+            linker.featurize_pairs(pairs[lo : lo + FEATURIZE_CHUNK])
+            for lo in range(0, len(pairs), FEATURIZE_CHUNK)
         ]
     )
 

@@ -118,7 +118,6 @@ def recover(
     *,
     reopen: bool = True,
     fsync: str = "batch",
-    **service_kwargs,
 ) -> RecoveryResult:
     """Load the base artifact and replay the WAL delta on top of it.
 
@@ -126,7 +125,7 @@ def recover(
     truncating any torn tail — and attached to the recovered service, so
     serving can resume writing history where the crash cut it off.
     """
-    service = LinkageService.from_artifact(artifact_path, **service_kwargs)
+    service = LinkageService.from_artifact(artifact_path)
     base_epoch = service.registry_epoch
     recovered = read_wal(wal_path)
     final_epoch, count = replay_records(

@@ -52,7 +52,7 @@ def approx_blob(tmp_path_factory):
 @pytest.fixture(scope="module")
 def service(approx_blob):
     _, artifact, _ = approx_blob
-    return LinkageService.from_artifact(artifact, batch_size=32)
+    return LinkageService.from_artifact(artifact)
 
 
 def _scorer_bytes(scorer: FastScorer) -> tuple[bytes, bytes]:
@@ -194,9 +194,24 @@ class TestServiceApprox:
             float(score) for score in rescored
         ]
 
+    def test_approx_scores_equal_cached_exact_scores(self, service):
+        """The exact path scores the whole candidate set in one cache fill;
+        row-stable scoring makes the approximate path's short-list scores
+        the same bytes."""
+        key = service.platform_pairs()[0]
+        everything = service.top_k(
+            key[0], key[1], len(service.candidate_pairs(key))
+        )
+        cached = {link.pair: link.score for link in everything}
+        links = service.top_k(key[0], key[1], 10, exact=False)
+        assert links
+        assert [link.score for link in links] == [
+            cached[link.pair] for link in links
+        ]
+
     def test_approx_never_touches_score_cache(self, approx_blob):
         _, artifact, _ = approx_blob
-        cold = LinkageService.from_artifact(artifact, batch_size=32)
+        cold = LinkageService.from_artifact(artifact)
         key = cold.platform_pairs()[0]
         cold.top_k(key[0], key[1], 10, exact=False)
         cold.link_account(key[0], cold.candidate_pairs(key)[0][0][1],
@@ -252,13 +267,13 @@ class TestRouterApproxParity:
     def router(self, approx_blob):
         _, _, plan_dir = approx_blob
         with ShardedLinkageService(
-            plan_dir, batch_size=32, inline=True
+            plan_dir, inline=True
         ) as routed:
             yield routed
 
     def test_top_k_approx_bit_parity(self, approx_blob, router):
         _, artifact, _ = approx_blob
-        single = LinkageService.from_artifact(artifact, batch_size=32)
+        single = LinkageService.from_artifact(artifact)
         key = single.platform_pairs()[0]
         mine = router.top_k(key[0], key[1], 10, exact=False)
         theirs = single.top_k(key[0], key[1], 10, exact=False)
@@ -272,7 +287,7 @@ class TestRouterApproxParity:
 
     def test_link_account_approx_bit_parity(self, approx_blob, router):
         _, artifact, _ = approx_blob
-        single = LinkageService.from_artifact(artifact, batch_size=32)
+        single = LinkageService.from_artifact(artifact)
         key = single.platform_pairs()[0]
         account_id = single.candidate_pairs(key)[0][0][1]
         mine = router.link_account(key[0], account_id, top=5, exact=False)
@@ -296,7 +311,7 @@ class TestGatewayApprox:
     @pytest.fixture(scope="class")
     def live(self, approx_blob):
         _, artifact, _ = approx_blob
-        service = LinkageService.from_artifact(artifact, batch_size=32)
+        service = LinkageService.from_artifact(artifact)
         with GatewayThread(
             service, GatewayConfig(max_wait_ms=1.0)
         ) as gateway:

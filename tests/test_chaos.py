@@ -109,7 +109,6 @@ def fitted_blob(tmp_path_factory):
 
 
 def _clone_service(fitted_blob, **kwargs) -> LinkageService:
-    kwargs.setdefault("batch_size", 64)
     return LinkageService(pickle.loads(fitted_blob[0]), **kwargs)
 
 
@@ -211,7 +210,7 @@ class TestKillNineRecovery:
         assert recovered_log.last_epoch == crash_on - 1
 
         # recovery lands on the exact pre-crash epoch ...
-        result = recover(artifact, wal_dir, reopen=False, batch_size=64)
+        result = recover(artifact, wal_dir, reopen=False)
         assert result.base_epoch == 0
         assert result.recovered_epoch == crash_on - 1
         assert result.truncated_tail
@@ -268,7 +267,7 @@ class TestKillNineRecovery:
 
         # a `crash` fault dies *before* writing, so the log ends clean
         # after record 1; recovery reopens it and serving resumes writing
-        result = recover(artifact, wal_dir, batch_size=64)
+        result = recover(artifact, wal_dir)
         assert result.recovered_epoch == 1
         service = result.service
         assert service.wal is not None
@@ -524,11 +523,11 @@ class TestShardWorkerKill:
         _, _, _, held, payloads = fitted_blob
         raws = [payload_to_json(p) for p in payloads]
         key = tuple(PLATFORM_PAIRS[0])
-        router = ShardedLinkageService(shard_plan3, batch_size=64)
+        router = ShardedLinkageService(shard_plan3)
         # the oracle: an identical sharded deployment that never crashes
         # and receives the same mutations
         twin = ShardedLinkageService(
-            shard_plan3, batch_size=64, inline=True
+            shard_plan3, inline=True
         )
         try:
             base_epoch = router.registry_epoch

@@ -1,10 +1,11 @@
-"""The CLI commands the docs show must still parse.
+"""The CLI commands and HTTP endpoints the docs show must still exist.
 
 Every ``python -m repro.cli …`` / ``repro …`` line inside a fenced block of
 ``README.md`` and the verify skill is collected (``\\`` continuations
 joined, ``<PLACEHOLDER>`` tokens filled in) and handed to
 ``build_parser().parse_args`` — nothing is executed.  A flag removed from
-the CLI but still documented fails here.
+the CLI but still documented fails here.  README's ``### Endpoints``
+table must list exactly the gateway's routes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.gateway import LinkageGateway
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
@@ -75,3 +77,16 @@ def test_documented_cli_commands_parse(capsys):
             failures.append(f"{where}: {shlex.join(argv)} -> {error[-1:]}")
     if failures:
         pytest.fail("documented commands no longer parse:\n" + "\n".join(failures))
+
+
+def documented_endpoints() -> list[tuple[str, str]]:
+    """``(method, path)`` of every row of README's ``### Endpoints`` table."""
+    section = (ROOT / "README.md").read_text().split("### Endpoints", 1)[1]
+    table = section.split("\n### ", 1)[0]
+    return re.findall(r"^\| `([A-Z]+) (/[^`]*)` \|", table, re.M)
+
+
+def test_endpoint_table_matches_gateway_routes():
+    documented = documented_endpoints()
+    assert len(documented) == len(set(documented)), "duplicate table rows"
+    assert set(documented) == set(LinkageGateway(service=None)._routes)

@@ -1,7 +1,11 @@
 """Tests for the multi-objective dual learner (Eqns 11-17)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConsistencyBlock, MooConfig, MultiObjectiveModel
 
@@ -176,3 +180,77 @@ class TestValidation:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MultiObjectiveModel().decision_function(np.zeros((1, 2)))
+
+
+def _expansion(kernel, seed, n_train, dim):
+    """A model with a random kernel expansion (the state an artifact load
+    assigns), non-negative rows so every kernel applies."""
+    rng = np.random.default_rng(seed)
+    model = MultiObjectiveModel(MooConfig(kernel=kernel, kernel_params={"gamma": 0.7}))
+    model.x_train_ = rng.random((n_train, dim))
+    model.alpha_ = rng.normal(size=n_train)
+    model.bias_ = float(rng.normal())
+    return model, rng
+
+
+class TestRowStableDecision:
+    """``decision_function(x)[i] == decision_function(x[[i]])[0]`` bitwise."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kernel=st.sampled_from(["rbf", "linear", "chi_square"]),
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(64, 400),
+        dim=st.integers(4, 40),
+        rows=st.integers(2, 60),
+        cuts=st.lists(st.integers(1, 59), max_size=5),
+    )
+    def test_rows_are_independent_of_their_batch(
+        self, kernel, seed, n_train, dim, rows, cuts
+    ):
+        model, rng = _expansion(kernel, seed, n_train, dim)
+        x = rng.random((rows, dim))
+        whole = model.decision_function(x)
+
+        single = np.array([model.decision_function(x[[i]])[0] for i in range(rows)])
+        assert np.array_equal(whole, single)
+
+        perm = rng.permutation(rows)
+        permuted = np.empty(rows)
+        permuted[perm] = model.decision_function(x[perm])
+        assert np.array_equal(whole, permuted)
+
+        bounds = [0, *sorted({c for c in cuts if c < rows}), rows]
+        chunked = np.concatenate(
+            [model.decision_function(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        )
+        assert np.array_equal(whole, chunked)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "chi_square"])
+    def test_matches_the_gram_expansion(self, kernel):
+        model, rng = _expansion(kernel, 3, 120, 9)
+        x = rng.random((17, 9))
+        gram = model._kernel(x, model.x_train_)
+        np.testing.assert_allclose(
+            model.decision_function(x), gram @ model.alpha_ + model.bias_,
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_row_kernel_cache_stays_out_of_pickles(self):
+        model, rng = _expansion("rbf", 5, 80, 6)
+        before = pickle.dumps(model)
+        model.decision_function(rng.random((4, 6)))
+        assert pickle.dumps(model) == before
+
+    def test_reassigned_training_rows_rebuild_the_row_kernel(self):
+        model, rng = _expansion("rbf", 7, 80, 6)
+        x = rng.random((3, 6))
+        model.decision_function(x)
+        model.x_train_ = model.x_train_ * 0.5
+        fresh = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(model.decision_function(x), fresh.decision_function(x))
+
+    def test_chi_square_rejects_negative_queries(self):
+        model, _ = _expansion("chi_square", 9, 70, 5)
+        with pytest.raises(ValueError):
+            model.decision_function(-np.ones((1, 5)))

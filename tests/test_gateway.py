@@ -60,7 +60,6 @@ def fitted_blob():
 
 def _clone_service(fitted_blob, **kwargs) -> LinkageService:
     blob, _, _ = fitted_blob
-    kwargs.setdefault("batch_size", 64)
     return LinkageService(pickle.loads(blob), **kwargs)
 
 
@@ -353,14 +352,56 @@ class TestGatewayHTTP:
         assert response["epoch"] == 0
 
     def test_score_pairs_explicit_batch_size(self, live_gateway):
+        """``batch_size`` is not part of the API: like any unknown body
+        key it is ignored, whatever its value."""
         gateway, service = live_gateway
         pairs = _candidate_pairs(service)[:7]
+        body = {"pairs": [[list(a), list(b)] for a, b in pairs]}
         with GatewayClient(gateway.host, gateway.port) as client:
-            response = client.score_pairs(pairs, batch_size=3)
-        assert np.array_equal(
-            np.array(response["scores"]),
-            service.score_pairs(pairs, batch_size=3),
+            responses = [
+                client._request(
+                    "POST", "/score_pairs", {**body, "batch_size": size}
+                )
+                for size in (3, 0)
+            ]
+        for response in responses:
+            assert np.array_equal(
+                np.array(response["scores"]), service.score_pairs(pairs)
+            )
+
+    def test_coalesced_flush_is_one_service_query(self, fitted_blob):
+        service = _clone_service(fitted_blob)
+        pairs = _candidate_pairs(service)
+        groups = [pairs[:3], pairs[3:4], pairs[4:20]]
+        expected = [service.score_pairs(group) for group in groups]
+        before = service.stats().queries
+        config = GatewayConfig(
+            max_wait_ms=10_000.0, max_batch_requests=len(groups)
         )
+        responses: dict = {}
+
+        def request(index):
+            with GatewayClient(gateway.host, gateway.port) as client:
+                responses[index] = client.score_pairs(groups[index])
+
+        with GatewayThread(service, config) as gateway:
+            threads = [
+                threading.Thread(target=request, args=(index,))
+                for index in range(len(groups))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            with GatewayClient(gateway.host, gateway.port) as client:
+                batcher = client.stats()["gateway"]["batcher"]
+        assert batcher["batches_dispatched"] == 1
+        assert service.stats().queries == before + 1
+        for index, scores in enumerate(expected):
+            assert np.array_equal(
+                np.array(responses[index]["scores"]), scores
+            )
 
     def test_top_k_matches_bare_service(self, live_gateway):
         gateway, service = live_gateway
@@ -438,6 +479,21 @@ class TestGatewayHTTP:
                     "POST", "/score_pairs", {"pairs": [["only-one-side"]]}
                 )
         assert error.value.status == 400
+
+    def test_link_account_rejects_json_bools_as_ints(self, live_gateway):
+        gateway, service = live_gateway
+        ref = _candidate_pairs(service)[0][0]
+        body = {"platform": ref[0], "account_id": ref[1]}
+        with GatewayClient(gateway.host, gateway.port) as client:
+            for extra in ({"top": True}, {"exact": False, "budget": True}):
+                with pytest.raises(GatewayError) as error:
+                    client._request("POST", "/link_account", {**body, **extra})
+                assert error.value.status == 400
+                assert error.value.code == "bad_request"
+            ok = client._request(
+                "POST", "/link_account", {**body, "top": 1, "budget": None}
+            )
+        assert len(ok["links"]) == 1
 
     def test_bad_json_body_is_400(self, live_gateway):
         gateway, _ = live_gateway
@@ -539,6 +595,26 @@ class TestGatewayWriterPath:
                 stats = client.stats()
                 assert stats["service"]["accounts_ingested"] == len(refs)
                 assert stats["service"]["accounts_removed"] == 1
+
+    def test_ingest_score_must_be_a_json_bool(self, fitted_blob):
+        service = _clone_service(fitted_blob)
+        refs = _transplant_held(fitted_blob, service)
+        body = {"refs": [list(ref) for ref in refs]}
+        with GatewayThread(service) as gateway:
+            with GatewayClient(gateway.host, gateway.port) as client:
+                for score in ("false", 0, None):
+                    with pytest.raises(GatewayError) as error:
+                        client._request(
+                            "POST", "/ingest", {**body, "score": score}
+                        )
+                    assert error.value.status == 400
+                    assert error.value.code == "bad_request"
+                assert client.healthz()["epoch"] == 0
+                report = client._request(
+                    "POST", "/ingest", {**body, "score": False}
+                )
+        assert report["epoch"] == 1
+        assert report["links"] == []
 
     def test_ingest_unregistered_account_is_client_error(self, fitted_blob):
         service = _clone_service(fitted_blob)

@@ -58,7 +58,7 @@ def parity_pair(ingest_env):
     """(ingested service, bulk-rebuilt linker) over identical grown worlds."""
     linker_inc, refs = _grown_linker(ingest_env)
     linker_bulk, _ = _grown_linker(ingest_env)
-    service = LinkageService(linker_inc, batch_size=32)
+    service = LinkageService(linker_inc)
     report = service.add_accounts(refs)
     linker_bulk.rebuild_serving_state()
     return service, linker_bulk, refs, report
@@ -80,14 +80,14 @@ class TestIngestParity:
     def test_scores_bit_identical_to_fit_time_built(self, parity_pair):
         service, linker_bulk, _, _ = parity_pair
         pairs = sorted(linker_bulk.candidates_[KEY].pairs)
-        bulk_service = LinkageService(linker_bulk, batch_size=32)
+        bulk_service = LinkageService(linker_bulk)
         assert np.array_equal(
             service.score_pairs(pairs), bulk_service.score_pairs(pairs)
         )
 
     def test_top_k_matches_bulk(self, parity_pair):
         service, linker_bulk, _, _ = parity_pair
-        bulk_service = LinkageService(linker_bulk, batch_size=32)
+        bulk_service = LinkageService(linker_bulk)
         got = {(link.pair, link.score) for link in service.top_k(*KEY, k=20)}
         expected = {
             (link.pair, link.score) for link in bulk_service.top_k(*KEY, k=20)
@@ -97,9 +97,9 @@ class TestIngestParity:
     def test_batched_ingest_equals_single_batch(self, ingest_env):
         one_shot, refs = _grown_linker(ingest_env)
         two_step, _ = _grown_linker(ingest_env)
-        service_one = LinkageService(one_shot, batch_size=32)
+        service_one = LinkageService(one_shot)
         service_one.add_accounts(refs, score=False)
-        service_two = LinkageService(two_step, batch_size=32)
+        service_two = LinkageService(two_step)
         service_two.add_accounts(refs[: len(refs) // 2], score=False)
         service_two.add_accounts(refs[len(refs) // 2:], score=False)
         assert set(one_shot.candidates_[KEY].pairs) == set(
@@ -130,7 +130,7 @@ class TestIngestParity:
 class TestIngestLifecycle:
     def test_epoch_and_stats(self, ingest_env):
         linker, refs = _grown_linker(ingest_env)
-        service = LinkageService(linker, batch_size=32)
+        service = LinkageService(linker)
         assert service.registry_epoch == 0
         service.top_k(*KEY, k=3)  # warm the score cache
         assert service.stats().score_cache_entries == 1
@@ -175,7 +175,7 @@ class TestIngestLifecycle:
 
     def test_mutated_linker_persists_and_reloads(self, ingest_env, tmp_path):
         linker, refs = _grown_linker(ingest_env)
-        service = LinkageService(linker, batch_size=32)
+        service = LinkageService(linker)
         service.add_accounts(refs, score=False)
         pairs = sorted(linker.candidates_[KEY].pairs)
         expected = service.score_pairs(pairs)
@@ -185,7 +185,7 @@ class TestIngestLifecycle:
         reloaded = load_linker(path)
         assert reloaded.ingest_epoch_ == 1
         assert np.array_equal(
-            LinkageService(reloaded, batch_size=32).score_pairs(pairs),
+            LinkageService(reloaded).score_pairs(pairs),
             expected,
         )
 
@@ -193,7 +193,7 @@ class TestIngestLifecycle:
 class TestRemoval:
     def test_remove_matches_bulk_on_shrunk_world(self, ingest_env):
         linker_inc, refs = _grown_linker(ingest_env)
-        service = LinkageService(linker_inc, batch_size=32)
+        service = LinkageService(linker_inc)
         service.add_accounts(refs, score=False)
         victim = refs[0]
         service.remove_account(victim)
@@ -214,12 +214,12 @@ class TestRemoval:
         pairs = sorted(linker_bulk.candidates_[KEY].pairs)
         assert np.array_equal(
             service.score_pairs(pairs),
-            LinkageService(linker_bulk, batch_size=32).score_pairs(pairs),
+            LinkageService(linker_bulk).score_pairs(pairs),
         )
 
     def test_removed_account_no_longer_scorable(self, ingest_env):
         linker, refs = _grown_linker(ingest_env)
-        service = LinkageService(linker, batch_size=32)
+        service = LinkageService(linker)
         service.add_accounts(refs, score=False)
         victim = refs[0]
         partner = (("twitter", refs[-1][1]) if victim[0] == "facebook"

@@ -58,7 +58,6 @@ def fitted_blob(tmp_path_factory):
 
 
 def _clone_service(fitted_blob, **kwargs) -> LinkageService:
-    kwargs.setdefault("batch_size", 64)
     return LinkageService(pickle.loads(fitted_blob[0]), **kwargs)
 
 
@@ -188,7 +187,7 @@ class TestFollowerService:
         _, artifact, _, held = fitted_blob
         wal_dir = tmp_path / "wal"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
-        follower = FollowerService(artifact, wal_dir, batch_size=64)
+        follower = FollowerService(artifact, wal_dir)
         assert follower.registry_epoch == primary.registry_epoch == 0
 
         for ref in held:
@@ -220,7 +219,7 @@ class TestFollowerService:
         _, artifact, _, held = fitted_blob
         wal_dir = tmp_path / "wal"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
-        with FollowerService(artifact, wal_dir, batch_size=64) as follower:
+        with FollowerService(artifact, wal_dir) as follower:
             with pytest.raises(ReplicaReadOnlyError):
                 follower.add_accounts([])
             with pytest.raises(ReplicaReadOnlyError):
@@ -232,7 +231,7 @@ class TestFollowerService:
         wal_dir = tmp_path / "wal"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
         follower = FollowerService(
-            artifact, wal_dir, batch_size=64, poll=False
+            artifact, wal_dir, poll=False
         )
         _arrive(fitted_blob, primary, held[0])
         _arrive(fitted_blob, primary, held[1])
@@ -255,7 +254,7 @@ class TestFollowerService:
         state = tmp_path / "state"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
         follower = FollowerService(
-            artifact, wal_dir, state_dir=state, batch_size=64
+            artifact, wal_dir, state_dir=state
         )
         for ref in held:
             _arrive(fitted_blob, primary, ref)
@@ -267,7 +266,7 @@ class TestFollowerService:
 
         primary.remove_account(tuple(held[0]))
         resumed = FollowerService(
-            artifact, wal_dir, state_dir=state, batch_size=64
+            artifact, wal_dir, state_dir=state
         )
         status = resumed.status(poll=False)
         assert status["resumed"]
@@ -283,7 +282,7 @@ class TestFollowerService:
         _, artifact, _, held = fitted_blob
         wal_dir = tmp_path / "wal"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
-        follower = FollowerService(artifact, wal_dir, batch_size=64)
+        follower = FollowerService(artifact, wal_dir)
         _arrive(fitted_blob, primary, held[0])
 
         def broken_ingest(refs):
@@ -330,7 +329,7 @@ class TestFollowerService:
         _, artifact, _, held = fitted_blob
         wal_dir = tmp_path / "wal"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
-        follower = FollowerService(artifact, wal_dir, batch_size=64)
+        follower = FollowerService(artifact, wal_dir)
 
         def broken_ingest(refs):
             raise RuntimeError("apply broke")
@@ -377,7 +376,7 @@ class TestFollowerService:
         _, artifact, _, held = fitted_blob
         wal_dir = tmp_path / "wal"
         primary = _clone_service(fitted_blob, wal=WriteAheadLog(wal_dir))
-        follower = FollowerService(artifact, wal_dir, batch_size=64)
+        follower = FollowerService(artifact, wal_dir)
 
         def broken_ingest(refs):
             raise RuntimeError("apply broke")
@@ -494,7 +493,7 @@ def replicated(fitted_blob, tmp_path):
     primary_service = _clone_service(
         fitted_blob, wal=WriteAheadLog(wal_dir)
     )
-    follower_service = FollowerService(artifact, wal_dir, batch_size=64)
+    follower_service = FollowerService(artifact, wal_dir)
     follower_gw = GatewayThread(
         follower_service,
         GatewayConfig(replica_poll_ms=5.0, min_epoch_wait_ms=2000.0),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import HydraLinker
 from repro.serving import LinkageService, LruCache
+from repro.serving import service as service_module
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def service_and_linker(small_world, labeled_split, tmp_path_factory):
     linker.fit(small_world, positives, negatives)
     path = tmp_path_factory.mktemp("serving") / "artifact"
     linker.save(path)
-    return LinkageService.from_artifact(path, batch_size=32), linker
+    return LinkageService.from_artifact(path), linker
 
 
 class TestLruCache:
@@ -103,13 +104,16 @@ class TestLinkageService:
             service.score_pairs(true_refs), linker.score_pairs(true_refs)
         )
 
-    def test_batch_size_does_not_change_scores(self, service_and_linker, true_refs):
+    def test_batch_size_does_not_change_scores(
+        self, service_and_linker, true_refs, monkeypatch
+    ):
         service, _ = service_and_linker
-        full = service.score_pairs(true_refs, batch_size=len(true_refs))
-        tiny = service.score_pairs(true_refs, batch_size=3)
-        # different batch shapes take different BLAS summation orders, so
-        # agreement is to rounding, not bit-for-bit (that holds per-batching)
-        np.testing.assert_allclose(full, tiny, rtol=0, atol=1e-9)
+        whole = service.score_pairs(true_refs)
+        assert len(true_refs) > 3
+        monkeypatch.setattr(service_module, "SCORE_CHUNK", 3)
+        chunked = service.score_pairs(true_refs)
+        # the decision function is row-stable, so chunking is bit-for-bit
+        assert np.array_equal(whole, chunked)
 
     def test_empty_batch(self, service_and_linker):
         service, _ = service_and_linker
@@ -191,21 +195,18 @@ class TestLinkageService:
         with pytest.raises(RuntimeError):
             LinkageService(HydraLinker())
 
-    def test_invalid_batch_size(self, service_and_linker):
-        service, linker = service_and_linker
-        with pytest.raises(ValueError):
-            LinkageService(linker, batch_size=0)
-        queries = service.stats().queries
-        with pytest.raises(ValueError):
-            service.score_pairs([(("a", "1"), ("b", "2"))], batch_size=0)
-        # empty input is validated too, and a rejected call is no query
-        with pytest.raises(ValueError):
-            service.score_pairs([], batch_size=0)
-        assert service.stats().queries == queries
+
+
+def _score_concatenated(service, groups):
+    """The gateway's coalesced flush: one call over the groups, sliced."""
+    scores = service.score_pairs([pair for group in groups for pair in group])
+    bounds = np.cumsum([0] + [len(group) for group in groups])
+    return [scores[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class TestGroupedScoring:
-    """The gateway-coalescing primitive: grouped == per-group, bit for bit."""
+    """The gateway-coalescing contract: scoring groups concatenated in one
+    call and slicing the result == per-group calls, bit for bit."""
 
     def test_groups_bit_identical_to_standalone_calls(
         self, service_and_linker
@@ -213,7 +214,7 @@ class TestGroupedScoring:
         service, linker = service_and_linker
         pairs = list(linker.candidates_[("facebook", "twitter")].pairs)
         groups = [pairs[:3], pairs[3:4], [], pairs[4:50], pairs[2:40]]
-        grouped = service.score_pairs_grouped(groups)
+        grouped = _score_concatenated(service, groups)
         assert len(grouped) == len(groups)
         for group, scores in zip(groups, grouped):
             assert np.array_equal(
@@ -221,34 +222,17 @@ class TestGroupedScoring:
             ), "a coalesced group's scores must match scoring it alone"
 
     def test_groups_larger_than_batch_size_chunk_identically(
-        self, service_and_linker
+        self, service_and_linker, monkeypatch
     ):
         service, linker = service_and_linker
         pairs = list(linker.candidates_[("facebook", "twitter")].pairs)
-        group = pairs[:50]  # spans two chunks at batch_size=32
-        (grouped,) = service.score_pairs_grouped([group], batch_size=20)
-        assert np.array_equal(
-            grouped, service.score_pairs(group, batch_size=20)
-        )
-
-    def test_counts_each_group_as_one_query(self, service_and_linker):
-        service, linker = service_and_linker
-        pairs = list(linker.candidates_[("facebook", "twitter")].pairs)
-        before = service.stats()
-        service.score_pairs_grouped([pairs[:2], pairs[2:5]])
-        after = service.stats()
-        assert after.queries == before.queries + 2
-        assert after.pairs_scored == before.pairs_scored + 5
-
-    def test_all_empty_groups(self, service_and_linker):
-        service, _ = service_and_linker
-        results = service.score_pairs_grouped([[], []])
-        assert [r.shape for r in results] == [(0,), (0,)]
-
-    def test_invalid_batch_size(self, service_and_linker):
-        service, _ = service_and_linker
-        with pytest.raises(ValueError):
-            service.score_pairs_grouped([[]], batch_size=0)
+        groups = [pairs[:7], pairs[7:57]]
+        alone = [service.score_pairs(group) for group in groups]
+        # chunks of 20 cut across the group boundary and through the
+        # second group
+        monkeypatch.setattr(service_module, "SCORE_CHUNK", 20)
+        for scores, expected in zip(_score_concatenated(service, groups), alone):
+            assert np.array_equal(scores, expected)
 
     def test_stats_during_cache_fill_cannot_deadlock(
         self, service_and_linker
@@ -258,7 +242,7 @@ class TestGroupedScoring:
         reads the counters; stats() must never hold the stats lock while
         waiting on a cache lock, or the two threads can deadlock."""
         _, linker = service_and_linker
-        service = LinkageService(linker, batch_size=32)
+        service = LinkageService(linker)
         outcome = {}
 
         def fill():

@@ -25,6 +25,7 @@ from repro.persist import (
     save_scoring_head,
 )
 from repro.serving import LinkageService, holdout_split
+from repro.serving import service as service_module
 from repro.shard import (
     ExplicitAssignment,
     HashAssignment,
@@ -66,7 +67,7 @@ def shard_blob(tmp_path_factory):
 @pytest.fixture()
 def single(shard_blob):
     artifact, _, _, _, _ = shard_blob
-    with LinkageService.from_artifact(artifact, batch_size=64) as service:
+    with LinkageService.from_artifact(artifact) as service:
         yield service
 
 
@@ -74,7 +75,7 @@ def single(shard_blob):
 def router(shard_blob):
     _, plan_dir, _, _, _ = shard_blob
     with ShardedLinkageService(
-        plan_dir, batch_size=64, inline=True
+        plan_dir, inline=True
     ) as service:
         yield service
 
@@ -240,23 +241,30 @@ class TestRouterReadParity:
             single.score_pairs(pairs), router.score_pairs(pairs)
         )
 
-    def test_custom_batch_size_is_bit_identical(self, single, router):
+    def test_custom_batch_size_is_bit_identical(
+        self, single, router, monkeypatch
+    ):
         key = single.platform_pairs()[0]
         pairs = single.candidate_pairs(key)
+        # the single-process service featurizes and decides 7 pairs at a
+        # time, the router decides the whole request in one call
+        monkeypatch.setattr(service_module, "SCORE_CHUNK", 7)
         assert np.array_equal(
-            single.score_pairs(pairs, batch_size=7),
-            router.score_pairs(pairs, batch_size=7),
+            single.score_pairs(pairs), router.score_pairs(pairs)
         )
 
     def test_grouped_scoring_is_bit_identical(self, single, router):
         key = single.platform_pairs()[0]
         pairs = single.candidate_pairs(key)
         groups = [pairs[:5], [], pairs[5:17], pairs[17:]]
-        for ours, theirs in zip(
-            router.score_pairs_grouped(groups),
-            single.score_pairs_grouped(groups),
-        ):
-            assert np.array_equal(ours, theirs)
+        # the gateway's coalesced flush: one router call, sliced per group
+        scores = router.score_pairs(pairs)
+        lo = 0
+        for group in groups:
+            assert np.array_equal(
+                scores[lo : lo + len(group)], single.score_pairs(group)
+            )
+            lo += len(group)
 
     def test_top_k_and_link_account_match(self, single, router):
         assert router.top_k("facebook", "twitter", 7) == single.top_k(
@@ -287,17 +295,6 @@ class TestRouterReadParity:
         with pytest.raises(KeyError):
             router.score_pairs([ghost])
 
-    def test_invalid_batch_size_is_rejected_before_counting(
-        self, router, single
-    ):
-        pairs = single.candidate_pairs(single.platform_pairs()[0])[:3]
-        queries = router.stats().queries
-        with pytest.raises(ValueError):
-            router.score_pairs(pairs, batch_size=0)
-        with pytest.raises(ValueError):
-            router.score_pairs([], batch_size=0)
-        assert router.stats().queries == queries
-
     def test_score_cache_serves_repeat_top_k(self, router):
         router.top_k("facebook", "twitter", 3)
         before = router.stats().score_cache_hits
@@ -311,9 +308,9 @@ class TestRouterMutations:
         from repro.wal.payload import apply_payload, payload_from_json
 
         with LinkageService.from_artifact(
-            artifact, batch_size=64
+            artifact
         ) as single, ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as router:
             key = single.platform_pairs()[0]
             plan_pairs = single.candidate_pairs(key)
@@ -354,9 +351,9 @@ class TestRouterMutations:
         outer = shard_tasks.worker_state()
         outer_items = dict(outer)
         with ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as a, ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as b:
             a.ingest_payloads(held, raw, score=False)
             b.ingest_payloads(held, raw, score=False)
@@ -370,9 +367,9 @@ class TestRouterMutations:
     def test_remove_account_mirrors_single_shard(self, shard_blob):
         artifact, plan_dir, _, _, _ = shard_blob
         with LinkageService.from_artifact(
-            artifact, batch_size=64
+            artifact
         ) as single, ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as router:
             key = single.platform_pairs()[0]
             victim = single.candidate_pairs(key)[0][0]
@@ -392,7 +389,7 @@ class TestRouterMutations:
             )
             # a second identical deployment removes identically
             with ShardedLinkageService(
-                plan_dir, batch_size=64, inline=True
+                plan_dir, inline=True
             ) as twin:
                 assert twin.remove_account(victim) == removed
                 assert twin.candidate_pairs(key) == (
@@ -409,7 +406,7 @@ class TestDegradedModeAndRestart:
     def test_down_shard_yields_nan_rows_and_marker(self, shard_blob):
         _, plan_dir, _, _, _ = shard_blob
         with ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as router:
             key = router.platform_pairs()[0]
             pairs = router.candidate_pairs(key)
@@ -429,14 +426,14 @@ class TestDegradedModeAndRestart:
     def test_degraded_top_k_drops_only_dead_shard_pairs(self, shard_blob):
         _, plan_dir, _, _, _ = shard_blob
         with ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as router:
             key = router.platform_pairs()[0]
             universe = len(router.candidate_pairs(key))
             router._handles[0].alive = False
             partial = router.top_k("facebook", "twitter", 10)
             with ShardedLinkageService(
-                plan_dir, batch_size=64, inline=True
+                plan_dir, inline=True
             ) as healthy:
                 full = healthy.top_k("facebook", "twitter", universe)
             live = [
@@ -450,7 +447,7 @@ class TestDegradedModeAndRestart:
     def test_degraded_scores_are_never_cached(self, shard_blob):
         _, plan_dir, _, _, _ = shard_blob
         with ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as router:
             router._handles[0].alive = False
             router.top_k("facebook", "twitter", 3)
@@ -465,7 +462,7 @@ class TestDegradedModeAndRestart:
     def test_writes_to_a_down_owner_are_rejected(self, shard_blob):
         _, plan_dir, _, held, raw = shard_blob
         with ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as router:
             down = 0
             router._handles[down].alive = True
@@ -492,9 +489,9 @@ class TestDegradedModeAndRestart:
     def test_restart_replays_the_journal(self, shard_blob):
         _, plan_dir, _, held, raw = shard_blob
         with ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as crashed, ShardedLinkageService(
-            plan_dir, batch_size=64, inline=True
+            plan_dir, inline=True
         ) as steady:
             key = crashed.platform_pairs()[0]
             # shard 1 goes down; a write owned elsewhere still lands
@@ -544,7 +541,7 @@ class TestRebalance:
         # inline=False: real per-shard worker processes, pickled IPC
         for inline in (True, False):
             with ShardedLinkageService(
-                rebalanced, batch_size=64, inline=inline
+                rebalanced, inline=inline
             ) as router:
                 assert router.candidate_pairs(key) == pairs
                 assert np.array_equal(

@@ -312,7 +312,6 @@ def fitted_blob(tmp_path_factory):
 
 def _clone_service(fitted_blob, **kwargs) -> LinkageService:
     blob = fitted_blob[0]
-    kwargs.setdefault("batch_size", 64)
     return LinkageService(pickle.loads(blob), **kwargs)
 
 
@@ -503,8 +502,7 @@ class TestRecovery:
         ]
         live.close()  # graceful: every record is on disk
 
-        result = recover(artifact, tmp_path / "wal", reopen=False,
-                         batch_size=64)
+        result = recover(artifact, tmp_path / "wal", reopen=False)
         assert result.base_epoch == 0
         assert result.recovered_epoch == live.registry_epoch
         assert result.records_replayed == live.registry_epoch
@@ -525,15 +523,14 @@ class TestRecovery:
         _arrive(fitted_blob, live, held[0])
         live.close()
 
-        result = recover(artifact, tmp_path / "wal", batch_size=64)
+        result = recover(artifact, tmp_path / "wal")
         service = result.service
         assert service.wal is not None and not service.wal.closed
         _arrive(fitted_blob, service, held[1])  # logged into the same WAL
         assert service.registry_epoch == 2
         service.close()
 
-        second = recover(artifact, tmp_path / "wal", reopen=False,
-                         batch_size=64)
+        second = recover(artifact, tmp_path / "wal", reopen=False)
         assert second.recovered_epoch == 2
         assert second.records_replayed == 2
 
@@ -550,8 +547,7 @@ class TestRecovery:
         data = segment.read_bytes()
         segment.write_bytes(data[:-7])  # tear the final record
 
-        result = recover(artifact, tmp_path / "wal", reopen=False,
-                         batch_size=64)
+        result = recover(artifact, tmp_path / "wal", reopen=False)
         assert result.truncated_tail
         assert result.recovered_epoch == len(held) - 1
         assert result.service.registry_epoch == len(held) - 1
